@@ -1337,11 +1337,13 @@ fn bench_baseline() {
         pairs.len()
     );
 
-    // One warm-up batch (untimed: pool spawn, edge-table build, adaptive
-    // warm-up) followed by `ITERATIONS` timed batches per substrate. The
-    // reported wall-clock is the *best observed* batch: batches are
-    // sub-millisecond, so a single scheduler hiccup poisons a mean, while
-    // the minimum converges on the substrate's actual sustained cost.
+    // One warm-up batch (untimed: pool spawn, per-thread edge-table
+    // buffers, adaptive warm-up) followed by `ITERATIONS` timed batches per
+    // substrate. Every timed batch builds its pairs' edge tables, as a
+    // query does. The reported wall-clock is the *best observed* batch:
+    // batches are sub-millisecond, so a single scheduler hiccup poisons a
+    // mean, while the minimum converges on the substrate's actual sustained
+    // cost.
     let time_substrate = |backend: &dyn ComputeBackend| -> (f64, f64) {
         let warmup = backend.compute_batch(&pairs, &config);
         assert_eq!(warmup.areas.len(), pairs.len());
@@ -1405,7 +1407,7 @@ fn bench_baseline() {
     let dense = dense_l_pair(DENSE_SIZE);
     let dense_threshold = 1u32 << 30;
     let time_kernel = |f: &dyn Fn() -> sccg::pixelbox::PairAreas| -> f64 {
-        let _ = f(); // warm-up (edge-table build for the scanline kernel)
+        let _ = f(); // warm-up (edge-table buffers for the scanline kernel)
         let started = Instant::now();
         for _ in 0..ITERATIONS {
             let _ = f();

@@ -233,7 +233,8 @@ struct FilteredTile {
 pub struct StageSeconds {
     /// Parser workers (CPU).
     pub parse: f64,
-    /// Builder task.
+    /// Builder task: bulk-loading each tile's R-tree. It builds no edge
+    /// tables: the kernel builds those per pair, in the aggregation stages.
     pub build: f64,
     /// Filter task.
     pub filter: f64,
@@ -607,6 +608,9 @@ impl Pipeline {
         }
 
         // --- Builder --------------------------------------------------------
+        // Bulk-loads each tile's Hilbert R-tree over the second result's MBRs
+        // and nothing else: edge tables are built per pair inside the
+        // PixelBox kernel, so `StageSeconds::build` is index construction.
         {
             let shared = Arc::clone(&shared);
             executor.spawn(async move {
@@ -619,22 +623,6 @@ impl Pipeline {
                             .enumerate()
                             .map(|(j, r)| (r.polygon.mbr(), j as u32))
                             .collect(),
-                    );
-                    // Prewarm every record's edge table while the tile is
-                    // still records: the filter stage clones polygons into
-                    // pairs, and a clone shares an already-built table but
-                    // starts cold otherwise — so building here costs one
-                    // build per polygon per tile instead of one per pair
-                    // membership at first kernel touch.
-                    let polygons: Vec<_> = parsed
-                        .first
-                        .iter()
-                        .chain(parsed.second.iter())
-                        .map(|record| &record.polygon)
-                        .collect();
-                    crate::pixelbox::build_edge_tables_batch(
-                        &polygons,
-                        crate::parallel::default_workers(),
                     );
                     let tile = IndexedTile {
                         first: parsed.first,

@@ -11,7 +11,8 @@
 use super::position::{box_position, BoxPosition};
 use super::{PairAreas, PolygonPair, Variant};
 use sccg_geometry::edge_table::{overlap_len_in, span_len_in};
-use sccg_geometry::{EdgeTable, Rect, RectilinearPolygon};
+use sccg_geometry::{EdgeTable, EdgeTableScratch, Rect, RectilinearPolygon};
+use std::cell::RefCell;
 
 /// Execution statistics of one pair (or a batch, traces are additive).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,8 +73,8 @@ impl Trace {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PixelizeKernel {
     /// Interval-scanline fast path: per pixel row, intersect/merge the two
-    /// polygons' inside x-intervals (from their cached
-    /// [`EdgeTable`]s) with pure interval
+    /// polygons' inside x-intervals (from [`EdgeTable`]s built for the pair
+    /// into per-thread buffers) with pure interval
     /// arithmetic — O(rows × crossing edges), never touching individual
     /// pixels.
     #[default]
@@ -131,22 +132,81 @@ pub fn compute_pair_with(
     // the whole scan, so it is resolved once here instead of once per
     // pixelized region (and once per sub-box in the partition loop).
     let edges = PairEdges::of(pair);
-    // The scanline kernel's row-reuse cache lives for exactly one scan; the
-    // per-pixel oracle never touches the edge tables, so it gets none.
-    let mut cache = match kernel {
-        PixelizeKernel::Scanline => Some(RowCache::new(pair.p.edge_table(), pair.q.edge_table())),
-        PixelizeKernel::PerPixel => None,
-    };
-
-    let areas = match variant {
-        Variant::PixelOnly => pixelize_region(
-            &joint, pair, &edges, fanout, kernel, true, &mut cache, &mut trace,
+    // The scanline kernel's row-reuse cache lives for exactly one scan over
+    // the pair's freshly built tables; the per-pixel oracle never touches
+    // edge tables, so it builds none.
+    let areas = match kernel {
+        PixelizeKernel::Scanline => with_pair_tables(pair, |p, q| {
+            scan_pair(
+                pair,
+                &edges,
+                &joint,
+                threshold,
+                fanout,
+                variant,
+                kernel,
+                &mut Some(RowCache::new(p, q)),
+                &mut trace,
+            )
+        }),
+        PixelizeKernel::PerPixel => scan_pair(
+            pair, &edges, &joint, threshold, fanout, variant, kernel, &mut None, &mut trace,
         ),
+    };
+    (areas, trace)
+}
+
+/// Per-thread buffers of the kernel's edge-table builds: the two tables of
+/// the pair in flight and the build scratch they share.
+#[derive(Default)]
+struct PairTables {
+    p: EdgeTable,
+    q: EdgeTable,
+    scratch: EdgeTableScratch,
+}
+
+thread_local! {
+    static PAIR_TABLES: RefCell<PairTables> = RefCell::default();
+}
+
+/// Rebuilds `pair`'s two edge tables into this thread's reusable buffers and
+/// hands them to `f`. This is the only place PixelBox builds tables: a warm
+/// thread allocates nothing, and no table outlives its pair.
+pub(super) fn with_pair_tables<R>(
+    pair: &PolygonPair,
+    f: impl FnOnce(&EdgeTable, &EdgeTable) -> R,
+) -> R {
+    PAIR_TABLES.with(|cell| {
+        let mut tables = cell.borrow_mut();
+        let PairTables { p, q, scratch } = &mut *tables;
+        p.rebuild(pair.p.vertices(), scratch);
+        q.rebuild(pair.q.vertices(), scratch);
+        f(p, q)
+    })
+}
+
+/// The variant dispatch of [`compute_pair_with`] over one pair.
+#[allow(clippy::too_many_arguments)]
+fn scan_pair(
+    pair: &PolygonPair,
+    edges: &PairEdges,
+    joint: &Rect,
+    threshold: i64,
+    fanout: u32,
+    variant: Variant,
+    kernel: PixelizeKernel,
+    cache: &mut Option<RowCache<'_>>,
+    trace: &mut Trace,
+) -> PairAreas {
+    match variant {
+        Variant::PixelOnly => {
+            pixelize_region(joint, pair, edges, fanout, kernel, true, cache, trace)
+        }
         Variant::Full => {
-            let area_p = shoelace(&pair.p, &mut trace);
-            let area_q = shoelace(&pair.q, &mut trace);
+            let area_p = shoelace(&pair.p, trace);
+            let area_q = shoelace(&pair.q, trace);
             let intersection = sampling_box_scan(
-                pair, &edges, &joint, threshold, fanout, false, kernel, &mut cache, &mut trace,
+                pair, edges, joint, threshold, fanout, false, kernel, cache, trace,
             )
             .intersection;
             PairAreas {
@@ -155,10 +215,9 @@ pub fn compute_pair_with(
             }
         }
         Variant::NoSep => sampling_box_scan(
-            pair, &edges, &joint, threshold, fanout, true, kernel, &mut cache, &mut trace,
+            pair, edges, joint, threshold, fanout, true, kernel, cache, trace,
         ),
-    };
-    (areas, trace)
+    }
 }
 
 /// Number of direct-mapped slots in a [`RowCache`]. Sixteen rows cover the
@@ -585,6 +644,66 @@ mod tests {
                     let brute = compute_pair_reference(&pair, threshold, 16, variant);
                     assert_eq!(fast, brute, "variant {variant:?} T={threshold}");
                 }
+            }
+        }
+    }
+
+    /// A comb with `teeth` teeth of height `tooth`, so rows above the base
+    /// cross the boundary `2 × teeth` times.
+    fn comb(x0: i32, y0: i32, teeth: i32, tooth: i32) -> RectilinearPolygon {
+        let mut vertices = vec![Point::new(x0, y0)];
+        for t in 0..teeth {
+            let x = x0 + 2 * t;
+            vertices.push(Point::new(x, y0 + 1 + tooth));
+            vertices.push(Point::new(x + 1, y0 + 1 + tooth));
+            vertices.push(Point::new(x + 1, y0 + 1));
+            vertices.push(Point::new(x + 2, y0 + 1));
+        }
+        vertices.pop();
+        vertices.pop();
+        vertices.push(Point::new(x0 + 2 * teeth - 1, y0));
+        RectilinearPolygon::new(vertices).unwrap()
+    }
+
+    #[test]
+    fn one_thread_over_a_shuffled_mixed_batch_matches_the_raster_oracle() {
+        // One thread's scratch serves every pair in turn: small and large,
+        // few and many crossings, rank-array and tall fallback builds, so a
+        // table left over from one pair must never leak into the next.
+        let tall = RectilinearPolygon::new(vec![
+            Point::new(0, -(1 << 20)),
+            Point::new(6, -(1 << 20)),
+            Point::new(6, 1 << 20),
+            Point::new(3, 1 << 20),
+            Point::new(3, 2),
+            Point::new(0, 2),
+        ])
+        .unwrap();
+        let shapes = [
+            rect_poly(0, 0, 20, 20),
+            rect_poly(10, 5, 32, 27),
+            l_shape(0, 24),
+            l_shape(6, 96),
+            comb(2, 3, 9, 12),
+            comb(0, 0, 2, 40),
+            tall,
+            rect_poly(-4, -3, 5, 9),
+        ];
+        let mut pairs = Vec::new();
+        for p in &shapes {
+            for q in &shapes {
+                pairs.push(pair(p.clone(), q.clone()));
+            }
+        }
+        // A fixed shuffle: 37 is coprime to the 64 pairs.
+        let shuffled: Vec<&PolygonPair> = (0..pairs.len())
+            .map(|i| &pairs[i * 37 % pairs.len()])
+            .collect();
+        for variant in [Variant::Full, Variant::NoSep] {
+            for pair in &shuffled {
+                let (areas, _) = compute_pair(pair, 64, 4, variant);
+                let oracle = raster::intersection_union_area(&pair.p, &pair.q);
+                assert_eq!((areas.intersection, areas.union), oracle, "{variant:?}");
             }
         }
     }

@@ -135,10 +135,6 @@ impl ComputeBackend for GpuBackend {
             // `None` — `launch.is_some()` means "the GPU actually ran".
             return BackendBatch::default();
         }
-        // The simulated device walks the batch on the host thread, so cold
-        // edge tables would all build serially on first touch; prewarm them
-        // across the pool first (resident tables are skipped).
-        super::prewarm_pair_edge_tables(pairs, crate::parallel::default_workers());
         let result = self.engine.compute_batch(pairs, config);
         let total = result.total_seconds();
         BackendBatch {

@@ -23,8 +23,9 @@
 //! * [`algorithm`] — the device-independent core of PixelBox, shared by the
 //!   CPU port and the GPU kernel, with an execution trace used for cost
 //!   accounting. Pixelized regions are finished by an interval-scanline fast
-//!   path over each polygon's cached [`sccg_geometry::EdgeTable`]
-//!   (O(rows × crossing edges) instead of O(pixels × edges)); the retained
+//!   path over the pair's [`sccg_geometry::EdgeTable`]s, rebuilt per pair
+//!   into per-thread buffers (O(rows × crossing edges) instead of
+//!   O(pixels × edges)); the retained
 //!   per-pixel loop ([`algorithm::compute_pair_reference`]) is the oracle it
 //!   is verified bit-identical against — areas *and* traces.
 //! * [`cpu`] — `PixelBox-CPU`: the multi-core CPU port (§4.2).
@@ -51,42 +52,16 @@ pub use backend::{BackendBatch, ComputeBackend, CpuBackend, GpuBackend, HybridBa
 pub use sccg_clip::PairAreas;
 use sccg_geometry::RectilinearPolygon;
 
-/// Builds the scanline [`sccg_geometry::EdgeTable`] of every polygon that
-/// does not already have one resident, fanning the builds out over the
-/// persistent [`WorkerPool`](crate::parallel::WorkerPool).
-///
-/// Each polygon's table lives in a `OnceLock`, so on a cold batch the first
-/// toucher of each polygon pays its whole build inline — and a host loop
-/// that walks pairs sequentially (the GPU simulator's round-robin dispatch)
-/// serializes *every* build on one thread. Prewarming through the pool
-/// amortizes the builds across workers instead; already-resident tables
-/// (checked via [`RectilinearPolygon::edge_table_if_built`]) are skipped
-/// without contending on the lock.
-///
-/// Returns the number of polygons that were cold at entry (whose build was
-/// scheduled on the pool).
-pub fn build_edge_tables_batch(polygons: &[&RectilinearPolygon], max_workers: usize) -> usize {
-    let cold: Vec<&RectilinearPolygon> = polygons
-        .iter()
-        .copied()
-        .filter(|poly| poly.edge_table_if_built().is_none())
-        .collect();
-    if cold.is_empty() {
-        return 0;
-    }
-    crate::parallel::WorkerPool::global().map(&cold, max_workers, 8, |poly| {
-        poly.edge_table();
-    });
-    cold.len()
-}
-
-/// [`build_edge_tables_batch`] over the polygons of a pair batch: prewarms
-/// both members of every pair before a sequential host loop first touches
-/// them. Returns the number of tables built.
+/// The edge-table build layer in isolation: runs the kernel's per-thread
+/// scratch build for both polygons of every pair on up to `max_workers`
+/// threads and discards the tables. PixelBox never calls it — every kernel
+/// builds its pair's tables itself — so it exists to time that layer apart
+/// from the kernels. Returns the number of tables built, `2 × pairs.len()`.
 pub fn prewarm_pair_edge_tables(pairs: &[PolygonPair], max_workers: usize) -> usize {
-    let polygons: Vec<&RectilinearPolygon> =
-        pairs.iter().flat_map(|pair| [&pair.p, &pair.q]).collect();
-    build_edge_tables_batch(&polygons, max_workers)
+    crate::parallel::WorkerPool::global().map(pairs, max_workers, 64, |pair| {
+        algorithm::with_pair_tables(pair, |_, _| ())
+    });
+    2 * pairs.len()
 }
 
 /// One input pair for cross-comparison: a polygon from each segmentation
@@ -284,17 +259,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_prewarm_builds_cold_tables_and_skips_resident_ones() {
-        let p = RectilinearPolygon::rectangle(Rect::new(0, 0, 8, 8)).unwrap();
-        let q = RectilinearPolygon::rectangle(Rect::new(4, 4, 12, 12)).unwrap();
-        let pairs = vec![PolygonPair::new(p, q)];
-        assert!(pairs[0].p.edge_table_if_built().is_none());
-        assert_eq!(prewarm_pair_edge_tables(&pairs, 4), 2);
-        assert!(pairs[0].p.edge_table_if_built().is_some());
-        assert!(pairs[0].q.edge_table_if_built().is_some());
-        // Everything is resident now: nothing is scheduled again.
-        assert_eq!(prewarm_pair_edge_tables(&pairs, 4), 0);
-        assert_eq!(build_edge_tables_batch(&[&pairs[0].p, &pairs[0].q], 1), 0);
+    fn prewarm_builds_two_tables_per_pair_and_leaves_areas_unchanged() {
+        let pairs: Vec<PolygonPair> = (0..150)
+            .map(|i| {
+                let p = RectilinearPolygon::rectangle(Rect::new(i, 0, i + 8, 8 + i % 5)).unwrap();
+                let q = RectilinearPolygon::rectangle(Rect::new(4, i % 7, 12 + i, 12)).unwrap();
+                PolygonPair::new(p, q)
+            })
+            .collect();
+        let config = PixelBoxConfig::paper_default();
+        let before = cpu::compute_batch_cpu(&pairs, &config, 1);
+        assert_eq!(prewarm_pair_edge_tables(&pairs, 1), 2 * pairs.len());
+        assert_eq!(prewarm_pair_edge_tables(&pairs, 4), 2 * pairs.len());
+        assert_eq!(prewarm_pair_edge_tables(&[], 4), 0);
+        assert_eq!(cpu::compute_batch_cpu(&pairs, &config, 2), before);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! row is fully determined by the vertical edges whose y-span crosses that
 //! row: sorting their x coordinates yields the row's inside x-intervals
 //! directly (consecutive pairs of crossings, by the even–odd rule). An
-//! [`EdgeTable`] precomputes that decomposition once per polygon, after which
+//! [`EdgeTable`] precomputes that decomposition for one polygon, after which
 //! any row's intervals are available in O(crossing edges) — pixel counts over
 //! a window become pure interval arithmetic that never touches individual
-//! pixels.
+//! pixels. Nothing caches tables: PixelBox rebuilds the two tables of each
+//! pair into per-thread buffers ([`EdgeTable::rebuild`] with an
+//! [`EdgeTableScratch`]), which costs no allocation once the buffers are
+//! warm.
 //!
 //! Construction buckets the vertical edges into *slabs*: maximal y-ranges
 //! within which the set of crossing edges (and therefore the sorted crossing
@@ -79,64 +82,189 @@ pub struct EdgeTable {
     xs: Vec<i32>,
 }
 
+impl Default for EdgeTable {
+    /// The table of a polygon with no vertical edges: every row is empty.
+    fn default() -> Self {
+        EdgeTable {
+            slab_ys: Vec::new(),
+            offsets: vec![0],
+            xs: Vec::new(),
+        }
+    }
+}
+
+/// Span of coordinates a direct-indexed array may cover per value indexed.
+/// A polygon taller or wider than that next to its vertex count takes a
+/// binary search or a comparison sort instead, so the scratch never grows
+/// with a polygon's extent.
+const SPAN_PER_VALUE: usize = 4;
+
+/// Working buffers of [`EdgeTable::rebuild`]. A thread that keeps one and
+/// rebuilds into the same table allocates only when a polygon outgrows every
+/// earlier one.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeTableScratch {
+    /// The polygon's vertical edges as `(x, y_lo, y_hi)`, in chain order.
+    edges: Vec<(i32, i32, i32)>,
+    /// The same edges as `(x, first slab, end slab)`, in x order.
+    by_x: Vec<(i32, u32, u32)>,
+    /// Slab index of each endpoint row, by offset into the y-extent.
+    slab_ranks: Vec<u32>,
+    /// Next free position per x column, then per slab, of a counting
+    /// placement.
+    cursor: Vec<u32>,
+}
+
 impl EdgeTable {
     /// Builds the table from a closed rectilinear vertex chain
     /// (`v0 → v1 → … → v(n-1) → v0`). Horizontal edges are ignored: a
     /// horizontal ray never crosses them (the same rule as
     /// [`crate::RectilinearPolygon::contains_pixel`]).
+    ///
+    /// This is [`EdgeTable::rebuild`] on empty buffers; hot loops keep one
+    /// table and one [`EdgeTableScratch`] per thread and rebuild instead.
     pub fn from_vertices(vertices: &[Point]) -> Self {
-        // Collect the vertical edges as (x, y_lo, y_hi) spans.
-        let n = vertices.len();
-        let mut edges: Vec<(i32, i32, i32)> = Vec::with_capacity(n / 2 + 1);
-        for i in 0..n {
-            let a = vertices[i];
-            let b = vertices[(i + 1) % n];
-            if a.x == b.x && a.y != b.y {
-                let (lo, hi) = if a.y < b.y { (a.y, b.y) } else { (b.y, a.y) };
-                edges.push((a.x, lo, hi));
-            }
-        }
-        if edges.is_empty() {
-            return EdgeTable {
-                slab_ys: Vec::new(),
-                offsets: vec![0],
-                xs: Vec::new(),
-            };
-        }
+        let mut table = EdgeTable::default();
+        table.rebuild(vertices, &mut EdgeTableScratch::default());
+        table
+    }
 
-        let mut slab_ys: Vec<i32> = edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]).collect();
-        slab_ys.sort_unstable();
-        slab_ys.dedup();
-
-        let slabs = slab_ys.len() - 1;
-        let mut offsets: Vec<u32> = Vec::with_capacity(slabs + 1);
-        let mut xs: Vec<i32> = Vec::new();
-        offsets.push(0);
-        let mut slab_xs: Vec<i32> = Vec::new();
-        for &row in &slab_ys[..slabs] {
-            slab_xs.clear();
-            // An edge spanning rows [lo, hi) crosses every row of this slab
-            // exactly when it crosses the slab's first row: slab boundaries
-            // include every edge endpoint, so spans cannot start or end
-            // strictly inside a slab.
-            slab_xs.extend(
-                edges
-                    .iter()
-                    .filter(|&&(_, lo, hi)| lo <= row && row < hi)
-                    .map(|&(x, _, _)| x),
-            );
-            slab_xs.sort_unstable();
-            debug_assert!(
-                slab_xs.len().is_multiple_of(2),
-                "closed chain must cross each row an even number of times"
-            );
-            xs.extend_from_slice(&slab_xs);
-            offsets.push(xs.len() as u32);
-        }
-        EdgeTable {
+    /// Replaces this table with the table of `vertices`, reusing its own
+    /// buffers and `scratch`'s, so a rebuild on warm buffers allocates
+    /// nothing. The result equals [`EdgeTable::from_vertices`] whatever the
+    /// table and the scratch held before.
+    ///
+    /// Endpoint ys map to slabs through a rank array indexed by row over the
+    /// polygon's y-extent, and a counting sort over the x-extent orders the
+    /// edges by x. Crossings are then placed slab by slab by walking the
+    /// edges in that order, which leaves every slab's list sorted. A polygon
+    /// tall or wide next to its vertex count takes a binary search or a
+    /// comparison sort instead, so the scratch stays O(vertices).
+    pub fn rebuild(&mut self, vertices: &[Point], scratch: &mut EdgeTableScratch) {
+        let EdgeTable {
             slab_ys,
             offsets,
             xs,
+        } = self;
+        let EdgeTableScratch {
+            edges,
+            by_x,
+            slab_ranks,
+            cursor,
+        } = scratch;
+        slab_ys.clear();
+        offsets.clear();
+        offsets.push(0);
+        xs.clear();
+
+        // Collect the vertical edges and their extent, starting with the
+        // closing edge v(n-1) → v0.
+        edges.clear();
+        let (mut x_range, mut y_range) = ((i32::MAX, i32::MIN), (i32::MAX, i32::MIN));
+        let mut a = vertices.last().copied().unwrap_or_default();
+        for &b in vertices {
+            if a.x == b.x && a.y != b.y {
+                let (lo, hi) = (a.y.min(b.y), a.y.max(b.y));
+                edges.push((a.x, lo, hi));
+                x_range = (x_range.0.min(a.x), x_range.1.max(a.x));
+                y_range = (y_range.0.min(lo), y_range.1.max(hi));
+            }
+            a = b;
+        }
+        if edges.is_empty() {
+            return;
+        }
+
+        // Slab boundaries are the sorted distinct endpoints. An edge
+        // spanning rows [lo, hi) crosses exactly the slabs
+        // [slab_of(lo), slab_of(hi)): spans cannot start or end strictly
+        // inside a slab.
+        let y_min = y_range.0;
+        let height = y_range.1.abs_diff(y_min) as usize;
+        let short = height < SPAN_PER_VALUE * 2 * edges.len();
+        if short {
+            slab_ranks.clear();
+            slab_ranks.resize(height + 1, 0);
+            for &(_, lo, hi) in edges.iter() {
+                slab_ranks[lo.abs_diff(y_min) as usize] = 1;
+                slab_ranks[hi.abs_diff(y_min) as usize] = 1;
+            }
+            for (row, rank) in slab_ranks.iter_mut().enumerate() {
+                if *rank != 0 {
+                    *rank = slab_ys.len() as u32;
+                    slab_ys.push(y_min + row as i32);
+                }
+            }
+        } else {
+            slab_ys.extend(edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]));
+            slab_ys.sort_unstable();
+            slab_ys.dedup();
+        }
+        let slab_ys = &*slab_ys;
+        let slab_of = |y: i32| -> usize {
+            if short {
+                slab_ranks[y.abs_diff(y_min) as usize] as usize
+            } else {
+                slab_ys.partition_point(|&b| b < y)
+            }
+        };
+        let slabs = slab_ys.len() - 1;
+
+        // Narrow polygons count their edges per x column, so the pass below
+        // can scatter each edge straight to its place in x order.
+        let x_min = x_range.0;
+        let width = x_range.1.abs_diff(x_min) as usize;
+        let narrow = width < SPAN_PER_VALUE * edges.len();
+        if narrow {
+            cursor.clear();
+            cursor.resize(width + 2, 0);
+            for &(x, _, _) in edges.iter() {
+                cursor[x.abs_diff(x_min) as usize + 1] += 1;
+            }
+            for column in 1..cursor.len() {
+                cursor[column] += cursor[column - 1];
+            }
+        }
+
+        // Count each slab's crossings into `offsets` (shifted by one) and
+        // order the edges by x.
+        offsets.resize(slabs + 1, 0);
+        by_x.clear();
+        by_x.resize(edges.len(), (0, 0, 0));
+        for (i, &(x, lo, hi)) in edges.iter().enumerate() {
+            let (first, end) = (slab_of(lo), slab_of(hi));
+            for slab in first..end {
+                offsets[slab + 1] += 1;
+            }
+            let at = if narrow {
+                let next = &mut cursor[x.abs_diff(x_min) as usize];
+                *next += 1;
+                *next as usize - 1
+            } else {
+                i
+            };
+            by_x[at] = (x, first as u32, end as u32);
+        }
+        if !narrow {
+            by_x.sort_unstable_by_key(|&(x, _, _)| x);
+        }
+        for slab in 0..slabs {
+            debug_assert!(
+                offsets[slab + 1].is_multiple_of(2),
+                "closed chain must cross each row an even number of times"
+            );
+            offsets[slab + 1] += offsets[slab];
+        }
+
+        // Walking the edges in x order appends each slab's crossings sorted.
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..slabs]);
+        xs.resize(offsets[slabs] as usize, 0);
+        for &(x, first, end) in by_x.iter() {
+            for slab in first as usize..end as usize {
+                xs[cursor[slab] as usize] = x;
+                cursor[slab] += 1;
+            }
         }
     }
 
@@ -469,6 +597,51 @@ mod tests {
         EdgeTable::from_vertices(poly.vertices())
     }
 
+    /// The straightforward construction `rebuild` must reproduce field for
+    /// field: sorted distinct endpoints as slab boundaries, then each slab's
+    /// crossings found by filtering every edge and sorted.
+    fn per_slab_oracle(vertices: &[Point]) -> EdgeTable {
+        let n = vertices.len();
+        let edges: Vec<(i32, i32, i32)> = (0..n)
+            .map(|i| (vertices[i], vertices[(i + 1) % n]))
+            .filter(|(a, b)| a.x == b.x && a.y != b.y)
+            .map(|(a, b)| (a.x, a.y.min(b.y), a.y.max(b.y)))
+            .collect();
+        let mut slab_ys: Vec<i32> = edges.iter().flat_map(|&(_, lo, hi)| [lo, hi]).collect();
+        slab_ys.sort_unstable();
+        slab_ys.dedup();
+        let mut offsets = vec![0u32];
+        let mut xs = Vec::new();
+        for &row in slab_ys.iter().take(slab_ys.len().saturating_sub(1)) {
+            let mut slab: Vec<i32> = edges
+                .iter()
+                .filter(|&&(_, lo, hi)| lo <= row && row < hi)
+                .map(|&(x, _, _)| x)
+                .collect();
+            slab.sort_unstable();
+            xs.extend(slab);
+            offsets.push(xs.len() as u32);
+        }
+        EdgeTable {
+            slab_ys,
+            offsets,
+            xs,
+        }
+    }
+
+    /// A tall L: x ∈ [0, 4) for y ∈ [-2³⁰, 0), x ∈ [2, 4) for y ∈ [0, 2³⁰).
+    fn tall_l() -> Vec<Point> {
+        let h = 1 << 30;
+        vec![
+            Point::new(0, -h),
+            Point::new(4, -h),
+            Point::new(4, h),
+            Point::new(2, h),
+            Point::new(2, 0),
+            Point::new(0, 0),
+        ]
+    }
+
     #[test]
     fn rows_match_contains_pixel() {
         for poly in [l_shape(), comb()] {
@@ -612,6 +785,53 @@ mod tests {
         let empty = EdgeTable::from_vertices(&[]);
         assert_eq!(empty.row(0).run_end(), i32::MAX);
         assert!(empty.row(0).crossings().is_empty());
+    }
+
+    #[test]
+    fn rebuild_matches_the_per_slab_oracle_field_for_field() {
+        let clockwise: Vec<Point> = comb().vertices().iter().rev().copied().collect();
+        let shapes = [
+            l_shape().vertices().to_vec(),
+            comb().vertices().to_vec(),
+            clockwise,
+            tall_l(),
+            // Wide rather than tall: the edges take the comparison sort.
+            tall_l().iter().map(|v| Point::new(v.y, v.x)).collect(),
+            Vec::new(),
+        ];
+        let mut scratch = EdgeTableScratch::default();
+        let mut reused = EdgeTable::default();
+        for vertices in shapes.iter().chain(shapes.iter().rev()) {
+            let oracle = per_slab_oracle(vertices);
+            assert_eq!(EdgeTable::from_vertices(vertices), oracle);
+            reused.rebuild(vertices, &mut scratch);
+            assert_eq!(reused, oracle);
+        }
+    }
+
+    #[test]
+    fn tall_polygon_builds_through_the_fallback_without_height_sized_scratch() {
+        let vertices = tall_l();
+        let mut scratch = EdgeTableScratch::default();
+        let mut table = EdgeTable::default();
+        table.rebuild(&vertices, &mut scratch);
+        // The 2³¹-row extent takes the sort-and-search path: the rank array
+        // is never touched, and every buffer stays sized by the vertex count.
+        assert_eq!(scratch.slab_ranks.capacity(), 0);
+        for len in [
+            scratch.edges.capacity(),
+            scratch.by_x.capacity(),
+            scratch.cursor.capacity(),
+        ] {
+            assert!(len <= vertices.len(), "scratch sized by height: {len}");
+        }
+        assert_eq!(table, per_slab_oracle(&vertices));
+        assert_eq!(table.slab_ys, vec![-(1 << 30), 0, 1 << 30]);
+        assert_eq!(table.row_crossings(-(1 << 30)), &[0, 4]);
+        assert_eq!(table.row_crossings(-1), &[0, 4]);
+        assert_eq!(table.row(0).crossings(), &[2, 4]);
+        assert_eq!(table.row(0).run_end(), 1 << 30);
+        assert!(table.row_crossings(1 << 30).is_empty());
     }
 
     #[test]

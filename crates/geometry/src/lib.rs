@@ -14,8 +14,9 @@
 //! * [`RectilinearPolygon`] — a validated, closed rectilinear polygon with
 //!   exact integer area, ray-cast containment tests and edge iteration.
 //! * [`edge_table`] — the scanline [`EdgeTable`]: a per-polygon row-interval
-//!   decomposition (built once, cached on the polygon) that turns pixel
-//!   counting into O(crossing edges) interval arithmetic per row.
+//!   decomposition (rebuilt in place from reusable [`EdgeTableScratch`]
+//!   buffers) that turns pixel counting into O(crossing edges) interval
+//!   arithmetic per row.
 //! * [`raster`] — pixel rasterization oracles: interval-scanline fast paths
 //!   plus the retained brute-force per-pixel loops ([`raster::brute`]) they
 //!   are verified against.
@@ -43,7 +44,7 @@ pub mod raster;
 pub mod rect;
 pub mod text;
 
-pub use edge_table::EdgeTable;
+pub use edge_table::{EdgeTable, EdgeTableScratch};
 pub use error::GeometryError;
 pub use point::Point;
 pub use polygon::{Edge, EdgeKind, RectilinearPolygon};

@@ -5,7 +5,6 @@ use crate::error::GeometryError;
 use crate::point::Point;
 use crate::rect::Rect;
 use crate::Result;
-use std::sync::{Arc, OnceLock};
 
 /// Orientation of a rectilinear edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,39 +101,11 @@ impl Edge {
 /// Self-intersection is not checked: segmentation outputs are simple by
 /// construction, and the algorithms under study only rely on the even–odd
 /// containment rule, which remains well defined.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RectilinearPolygon {
     vertices: Vec<Point>,
     mbr: Rect,
-    /// Lazily built scanline [`EdgeTable`] (see [`RectilinearPolygon::edge_table`]).
-    /// Shared through an `Arc` so cloning a polygon keeps the cache warm
-    /// without duplicating it.
-    edge_table: OnceLock<Arc<EdgeTable>>,
 }
-
-impl Clone for RectilinearPolygon {
-    fn clone(&self) -> Self {
-        let edge_table = OnceLock::new();
-        if let Some(table) = self.edge_table.get() {
-            let _ = edge_table.set(Arc::clone(table));
-        }
-        RectilinearPolygon {
-            vertices: self.vertices.clone(),
-            mbr: self.mbr,
-            edge_table,
-        }
-    }
-}
-
-impl PartialEq for RectilinearPolygon {
-    fn eq(&self, other: &Self) -> bool {
-        // The MBR and edge table are derived from the vertex chain; identity
-        // is the chain itself.
-        self.vertices == other.vertices
-    }
-}
-
-impl Eq for RectilinearPolygon {}
 
 impl RectilinearPolygon {
     /// Builds a polygon from a vertex chain, validating rectilinearity.
@@ -174,7 +145,6 @@ impl RectilinearPolygon {
         let poly = RectilinearPolygon {
             mbr: Self::compute_mbr(&vertices),
             vertices,
-            edge_table: OnceLock::new(),
         };
         if poly.area() == 0 {
             return Err(GeometryError::ZeroArea);
@@ -266,37 +236,16 @@ impl RectilinearPolygon {
         self.mbr
     }
 
-    /// The polygon's scanline [`EdgeTable`], built on first use and cached
-    /// (clones of the polygon share the cached table).
+    /// Builds the polygon's scanline [`EdgeTable`].
     ///
     /// The table decomposes every pixel row into its inside x-intervals in
     /// O(crossing edges) per row, which is what makes interval-arithmetic
     /// pixel counting ([`crate::raster`], PixelBox's pixelization fast path)
-    /// output-sensitive instead of O(pixels × edges).
-    ///
-    /// # Concurrency
-    ///
-    /// The cache is a `OnceLock`, so under concurrent callers the table is
-    /// built **at most once**: the first caller to win initialization builds
-    /// it, every other concurrent caller blocks until that build finishes
-    /// and then shares the same table (a racing thread's redundantly
-    /// constructed value is dropped, never published). The flip side is
-    /// *first-touch serialization*: a batch whose tables are all cold pays
-    /// the builds one after another on whichever thread touches each polygon
-    /// first. Batch code should prewarm cold tables in parallel
-    /// (`sccg::pixelbox::build_edge_tables_batch`), using
-    /// [`RectilinearPolygon::edge_table_if_built`] to skip resident ones.
-    pub fn edge_table(&self) -> &EdgeTable {
-        self.edge_table
-            .get_or_init(|| Arc::new(EdgeTable::from_vertices(&self.vertices)))
-    }
-
-    /// The cached [`EdgeTable`] if one has already been built (by a prior
-    /// [`RectilinearPolygon::edge_table`] call on this polygon, or on the
-    /// polygon this one was cloned from), without building it. Lets batch
-    /// prewarm passes skip resident tables.
-    pub fn edge_table_if_built(&self) -> Option<&EdgeTable> {
-        self.edge_table.get().map(Arc::as_ref)
+    /// output-sensitive instead of O(pixels × edges). The polygon keeps no
+    /// copy: loops that build many tables should reuse buffers through
+    /// [`EdgeTable::rebuild`] instead.
+    pub fn edge_table(&self) -> EdgeTable {
+        EdgeTable::from_vertices(&self.vertices)
     }
 
     /// Iterator over the polygon's directed boundary edges.
@@ -477,55 +426,6 @@ mod tests {
         .unwrap();
         assert_eq!(poly.vertex_count(), 4);
         assert_eq!(poly.area(), 4);
-    }
-
-    #[test]
-    fn edge_table_builds_at_most_once_under_concurrent_callers() {
-        use std::sync::{Arc, Barrier};
-        let poly = Arc::new(RectilinearPolygon::rectangle(Rect::new(0, 0, 24, 18)).unwrap());
-        assert!(
-            poly.edge_table_if_built().is_none(),
-            "cold before first use"
-        );
-        let threads = 8;
-        let barrier = Arc::new(Barrier::new(threads));
-        let addresses: Vec<usize> = (0..threads)
-            .map(|_| {
-                let poly = Arc::clone(&poly);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    poly.edge_table() as *const EdgeTable as usize
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|handle| handle.join().expect("edge-table thread"))
-            .collect();
-        // OnceLock publishes exactly one table: every concurrent caller must
-        // have observed the same instance, never a per-thread rebuild.
-        assert!(
-            addresses.windows(2).all(|w| w[0] == w[1]),
-            "concurrent callers saw different tables: {addresses:?}"
-        );
-        let resident = poly.edge_table_if_built().expect("warm after first use");
-        assert_eq!(resident as *const EdgeTable as usize, addresses[0]);
-    }
-
-    #[test]
-    fn clones_share_a_built_edge_table_but_not_a_cold_cache() {
-        let poly = RectilinearPolygon::rectangle(Rect::new(0, 0, 9, 9)).unwrap();
-        // Cloning a cold polygon leaves the clone cold too (nothing to
-        // share yet) — each copy builds independently on first touch.
-        let cold_clone = poly.clone();
-        assert!(cold_clone.edge_table_if_built().is_none());
-        // Cloning after the build shares the same Arc'd table.
-        let built = poly.edge_table() as *const EdgeTable;
-        let warm_clone = poly.clone();
-        let shared = warm_clone
-            .edge_table_if_built()
-            .expect("clone of a warm polygon is warm");
-        assert_eq!(shared as *const EdgeTable, built);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Two implementations coexist:
 //!
-//! * The top-level functions use each polygon's cached scanline
+//! * The top-level functions build each polygon's scanline
 //!   [`EdgeTable`](crate::EdgeTable): one pixel row at a time, the inside
 //!   x-intervals are intersected/merged with pure interval arithmetic, so a
 //!   window scan costs O(rows × crossing edges) instead of
@@ -35,7 +35,7 @@ pub fn polygon_area(poly: &RectilinearPolygon) -> i64 {
 /// intervals and the union follows by inclusion–exclusion.
 pub fn intersection_union_area(p: &RectilinearPolygon, q: &RectilinearPolygon) -> (i64, i64) {
     let joint = p.mbr().union(&q.mbr());
-    crate::edge_table::intersection_union_in(p.edge_table(), q.edge_table(), &joint)
+    crate::edge_table::intersection_union_in(&p.edge_table(), &q.edge_table(), &joint)
 }
 
 /// Area of the intersection only, scanning just the intersection of the two
@@ -45,7 +45,7 @@ pub fn intersection_area(p: &RectilinearPolygon, q: &RectilinearPolygon) -> i64 
     if window.is_empty() {
         return 0;
     }
-    crate::edge_table::intersection_len_in(p.edge_table(), q.edge_table(), &window)
+    crate::edge_table::intersection_len_in(&p.edge_table(), &q.edge_table(), &window)
 }
 
 /// Number of pixels of `window` lying inside the polygon. Used to check the

@@ -7,7 +7,7 @@
 //! polygons.
 
 use proptest::prelude::*;
-use sccg_geometry::{raster, Point, Rect, RectilinearPolygon};
+use sccg_geometry::{raster, EdgeTable, EdgeTableScratch, Point, Rect, RectilinearPolygon};
 
 /// Generates a random rectilinear "staircase" polygon: a monotone staircase
 /// descending from the top-left to the bottom-right, closed along the axes.
@@ -189,16 +189,28 @@ proptest! {
     }
 
     #[test]
-    fn clone_shares_the_edge_table_cache(poly in skyline_polygon()) {
-        // A clone taken before the cache exists builds its own table...
-        let before_clone = poly.clone();
-        prop_assert!(before_clone.edge_table().slab_count() >= 1);
-        prop_assert!(!std::ptr::eq(before_clone.edge_table(), poly.edge_table()));
-        // ...while a clone taken after shares the very same allocation.
-        let after_clone = poly.clone();
-        prop_assert!(std::ptr::eq(poly.edge_table(), after_clone.edge_table()));
-        prop_assert_eq!(raster::polygon_area(&after_clone), raster::polygon_area(&poly));
-        prop_assert_eq!(&after_clone, &poly);
+    fn rebuild_into_reused_buffers_equals_a_fresh_build(
+        polys in prop::collection::vec((skyline_polygon(), 0u32..3, 0u32..3), 1..10)
+    ) {
+        // One scratch and one table carried across the whole sequence, as a
+        // kernel thread carries them across pairs. Stretching an axis by
+        // 2^9 or 2^18 moves the same shape from the rank array (y) or
+        // counting sort (x) to their sort-based fallbacks, so each path
+        // also rebuilds over the other's leftovers.
+        let mut scratch = EdgeTableScratch::default();
+        let mut table = EdgeTable::default();
+        for (poly, kx, ky) in &polys {
+            let vertices: Vec<Point> = poly
+                .vertices()
+                .iter()
+                .map(|v| Point::new(v.x << (9 * kx), v.y << (9 * ky)))
+                .collect();
+            table.rebuild(&vertices, &mut scratch);
+            prop_assert_eq!(&table, &EdgeTable::from_vertices(&vertices));
+            if *kx == 0 && *ky == 0 {
+                prop_assert_eq!(&table, &poly.edge_table());
+            }
+        }
     }
 
     #[test]

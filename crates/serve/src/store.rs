@@ -362,6 +362,9 @@ impl SlideStore {
                 match tile_rx.recv().await {
                     Some(records) => {
                         if let Err(error) = writer.append_tile(&records) {
+                            // Drop the writer (removing its partial file)
+                            // before the caller can observe the error.
+                            drop(writer);
                             break Err(error);
                         }
                     }
