@@ -83,7 +83,16 @@ fn main() {
         stream();
     }
     if want("bench") {
-        bench_baseline();
+        // `--rebaseline "<reason>"` marks this run as the start of a new
+        // baseline for `trajectory-gate`.
+        let rebaseline =
+            args.iter()
+                .position(|a| a == "--rebaseline")
+                .map(|at| match args.get(at + 1) {
+                    Some(reason) if !reason.is_empty() => reason.clone(),
+                    _ => panic!("--rebaseline needs a reason"),
+                });
+        bench_baseline(rebaseline);
     }
     // Deliberately not part of `all`: the gate reads what `bench` appended,
     // so CI runs it as a separate step right after the bench step.
@@ -556,6 +565,7 @@ fn serve() {
             store: None,
             locality: None,
             chaos: None,
+            rebaseline: None,
         },
     )
     .expect("append serve metrics to BENCH_trajectory.json");
@@ -731,6 +741,7 @@ fn store_smoke() {
             }),
             locality: None,
             chaos: None,
+            rebaseline: None,
         },
     )
     .expect("append store metrics to BENCH_trajectory.json");
@@ -925,6 +936,7 @@ fn locality() {
                 round_robin_pager_misses: rr_storage.pager_misses,
             }),
             chaos: None,
+            rebaseline: None,
         },
     )
     .expect("append locality metrics to BENCH_trajectory.json");
@@ -1246,6 +1258,7 @@ fn chaos() {
                 quarantined_tiles: quarantined as u64,
                 qps,
             }),
+            rebaseline: None,
         },
     )
     .expect("append chaos metrics to BENCH_trajectory.json");
@@ -1318,7 +1331,9 @@ fn stream() {
 /// writes the `BENCH_pixelbox.json` snapshot and appends a timestamped entry
 /// to `BENCH_trajectory.json` so the perf trajectory is tracked across PRs
 /// (CI runs this as a smoke step, then `trajectory-gate` on the result).
-fn bench_baseline() {
+/// With a `rebaseline` reason the entry starts a new baseline: the gate
+/// stops comparing against the runs before it.
+fn bench_baseline(rebaseline: Option<String>) {
     use sccg::parallel::default_workers;
     use sccg::pixelbox::algorithm::{compute_pair, compute_pair_reference};
     use sccg::pixelbox::SplitConfig;
@@ -1461,7 +1476,12 @@ fn bench_baseline() {
     let entries = append_entry(
         std::path::Path::new(TRAJECTORY_PATH),
         TrajectoryEntry {
-            label: "bench".to_string(),
+            label: if rebaseline.is_some() {
+                "rebaseline"
+            } else {
+                "bench"
+            }
+            .to_string(),
             unix_seconds,
             substrates: rates,
             pixelize_dense_speedup: speedup,
@@ -1469,6 +1489,7 @@ fn bench_baseline() {
             store: None,
             locality: None,
             chaos: None,
+            rebaseline,
         },
     )
     .expect("append to BENCH_trajectory.json");

@@ -6,9 +6,13 @@
 //! [appends](append_entry) a timestamped entry (schema
 //! [`TRAJECTORY_SCHEMA`]), and the [gate](check_gate) — run by CI right
 //! after the bench step — fails the build when the latest entry falls below
-//! [`SUBSTRATE_FLOOR_RATIO`] of the *best ever recorded* pairs/sec for any
+//! [`SUBSTRATE_FLOOR_RATIO`] of the *best recorded* pairs/sec for any
 //! substrate, or when the `pixelize_dense` scanline-vs-per-pixel speedup
-//! drops under [`DENSE_SPEEDUP_GATE`].
+//! drops under [`DENSE_SPEEDUP_GATE`]. "Best recorded" reaches back to the
+//! latest *rebaseline* entry: a bench run marked, with a reason, as timing
+//! different work than the runs before it (`reproduce -- bench
+//! --rebaseline "<reason>"`), so rates the bench no longer measures stop
+//! counting while the floor itself stays as it is.
 //!
 //! The JSON handling is hand-rolled (a small recursive-descent reader and a
 //! plain formatter): the workspace's vendored `serde` shim provides no
@@ -133,6 +137,10 @@ pub struct TrajectoryEntry {
     pub locality: Option<LocalityMetrics>,
     /// Chaos-smoke metrics, when the run measured them.
     pub chaos: Option<ChaosMetrics>,
+    /// Why this bench run is not comparable with the runs before it, when
+    /// it starts a new baseline: the [gate](check_gate) takes its best
+    /// recorded rates from the latest such entry on.
+    pub rebaseline: Option<String>,
 }
 
 /// Reads the trajectory file. A missing file is an empty trajectory; a
@@ -274,6 +282,15 @@ fn parse_entry(value: &Value) -> Result<TrajectoryEntry, String> {
             })
         }
     };
+    let rebaseline = match value.get("rebaseline") {
+        None | Some(Value::Null) => None,
+        Some(reason) => Some(
+            reason
+                .as_str()
+                .ok_or("\"rebaseline\" is not a string")?
+                .to_string(),
+        ),
+    };
     Ok(TrajectoryEntry {
         label,
         unix_seconds,
@@ -283,6 +300,7 @@ fn parse_entry(value: &Value) -> Result<TrajectoryEntry, String> {
         store,
         locality,
         chaos,
+        rebaseline,
     })
 }
 
@@ -358,11 +376,18 @@ pub fn format_trajectory(entries: &[TrajectoryEntry]) -> String {
                 c.qps
             ),
         };
+        let rebaseline = match &entry.rebaseline {
+            None => String::new(),
+            Some(reason) => format!(
+                ",\n      \"rebaseline\": \"{}\"",
+                reason.replace('\\', "\\\\").replace('"', "\\\"")
+            ),
+        };
         let _ = write!(
             out,
             "    {{\n      \"label\": \"{}\",\n      \"unix_seconds\": {},\n      \
              \"pixelize_dense_speedup\": {},\n      \"substrates\": [{substrates}\n      \
-             ]{serve}{store}{locality}{chaos}\n    }}{}\n",
+             ]{serve}{store}{locality}{chaos}{rebaseline}\n    }}{}\n",
             entry.label,
             entry.unix_seconds,
             entry.pixelize_dense_speedup,
@@ -375,9 +400,10 @@ pub fn format_trajectory(entries: &[TrajectoryEntry]) -> String {
 
 /// The regression gate. Checks the *latest bench* entry — the most recent
 /// one with non-empty substrate rates, so a trailing serve-only entry is
-/// never judged by gates it carries no data for — against the whole recorded
-/// history: every substrate it reports must sustain at least
-/// [`SUBSTRATE_FLOOR_RATIO`] of the best `pairs_per_sec` ever recorded for
+/// never judged by gates it carries no data for — against the recorded
+/// history since the latest rebaseline entry (the whole trajectory when
+/// there is none): every substrate it reports must sustain at least
+/// [`SUBSTRATE_FLOOR_RATIO`] of the best `pairs_per_sec` recorded there for
 /// that substrate, and its `pixelize_dense` speedup must be at least
 /// [`DENSE_SPEEDUP_GATE`]. Returns one human-readable line per passed check,
 /// or the first failure.
@@ -387,9 +413,13 @@ pub fn check_gate(entries: &[TrajectoryEntry]) -> Result<Vec<String>, String> {
         .rev()
         .find(|e| !e.substrates.is_empty())
         .ok_or("trajectory has no entries with substrate rates")?;
+    let since = entries
+        .iter()
+        .rposition(|e| e.rebaseline.is_some())
+        .unwrap_or(0);
     let mut lines = Vec::new();
     for rate in &latest.substrates {
-        let best = entries
+        let best = entries[since..]
             .iter()
             .flat_map(|e| &e.substrates)
             .filter(|s| s.name == rate.name)
@@ -643,6 +673,7 @@ mod tests {
             store: None,
             locality: None,
             chaos: None,
+            rebaseline: None,
         }
     }
 
@@ -662,6 +693,7 @@ mod tests {
             store: None,
             locality: None,
             chaos: None,
+            rebaseline: None,
         }
     }
 
@@ -679,6 +711,7 @@ mod tests {
             }),
             locality: None,
             chaos: None,
+            rebaseline: None,
         }
     }
 
@@ -698,6 +731,7 @@ mod tests {
                 round_robin_pager_misses: rr_misses,
             }),
             chaos: None,
+            rebaseline: None,
         }
     }
 
@@ -719,14 +753,18 @@ mod tests {
                 quarantined_tiles: 1,
                 qps: 93.5,
             }),
+            rebaseline: None,
         }
     }
 
     #[test]
     fn round_trips_through_the_formatter_and_reader() {
+        let mut rebased = entry("rebaseline", &[("cpu-s", 0.4e6)], 650.0);
+        rebased.rebaseline = Some("times the \"build\" too, see C:\\notes".into());
         let entries = vec![
             entry("pr5-baseline", &[("cpu-s", 1.3e6), ("gpu", 1.1e6)], 598.5),
             entry("bench", &[("cpu-s", 2.0e6), ("gpu", 1.5e6)], 700.25),
+            rebased,
         ];
         let text = format_trajectory(&entries);
         let root = Value::parse(&text).unwrap();
@@ -879,6 +917,30 @@ mod tests {
         let err = check_gate(&entries).unwrap_err();
         assert!(err.contains("cpu"), "{err}");
         assert!(err.contains("below"), "{err}");
+    }
+
+    #[test]
+    fn gate_takes_its_best_rates_from_the_latest_rebaseline_on() {
+        let mut rebased = entry("rebaseline", &[("cpu", 0.5e6)], 600.0);
+        rebased.rebaseline = Some("bench batches now include table builds".into());
+        let mut entries = vec![
+            entry("old-best", &[("cpu", 2.0e6)], 600.0),
+            rebased,
+            serve_entry(10.0),
+            entry("latest", &[("cpu", 0.45e6)], 600.0),
+        ];
+        // 0.45M is below 0.8 x the pre-rebaseline 2.0M, but the history
+        // starts at the rebaseline entry: 0.45M >= 0.8 x 0.5M.
+        let lines = check_gate(&entries).unwrap();
+        assert!(lines[0].contains("best 500000"), "{}", lines[0]);
+        // The floor still applies from the rebaseline on.
+        entries.push(entry("slower", &[("cpu", 0.3e6)], 600.0));
+        let err = check_gate(&entries).unwrap_err();
+        assert!(err.contains("best recorded 500000"), "{err}");
+        // A faster run after the rebaseline raises the bar as before.
+        entries.push(entry("faster", &[("cpu", 1.0e6)], 600.0));
+        entries.push(entry("latest", &[("cpu", 0.7e6)], 600.0));
+        assert!(check_gate(&entries).is_err());
     }
 
     #[test]

@@ -93,10 +93,9 @@ impl Default for EdgeTable {
     }
 }
 
-/// Span of coordinates a direct-indexed array may cover per value indexed.
-/// A polygon taller or wider than that next to its vertex count takes a
-/// binary search or a comparison sort instead, so the scratch never grows
-/// with a polygon's extent.
+/// Rows the slab rank array may cover per endpoint indexed. A polygon taller
+/// than that next to its vertex count takes a binary search instead, so the
+/// scratch never grows with a polygon's height.
 const SPAN_PER_VALUE: usize = 4;
 
 /// Working buffers of [`EdgeTable::rebuild`]. A thread that keeps one and
@@ -110,8 +109,7 @@ pub struct EdgeTableScratch {
     by_x: Vec<(i32, u32, u32)>,
     /// Slab index of each endpoint row, by offset into the y-extent.
     slab_ranks: Vec<u32>,
-    /// Next free position per x column, then per slab, of a counting
-    /// placement.
+    /// Next free position per slab in `xs` while crossings are placed.
     cursor: Vec<u32>,
 }
 
@@ -135,11 +133,10 @@ impl EdgeTable {
     /// table and the scratch held before.
     ///
     /// Endpoint ys map to slabs through a rank array indexed by row over the
-    /// polygon's y-extent, and a counting sort over the x-extent orders the
-    /// edges by x. Crossings are then placed slab by slab by walking the
-    /// edges in that order, which leaves every slab's list sorted. A polygon
-    /// tall or wide next to its vertex count takes a binary search or a
-    /// comparison sort instead, so the scratch stays O(vertices).
+    /// polygon's y-extent; a polygon tall next to its vertex count takes a
+    /// binary search over the sorted endpoints instead, so the scratch stays
+    /// O(vertices). Crossings are then placed slab by slab by walking the
+    /// edges in x order, which leaves every slab's list sorted.
     pub fn rebuild(&mut self, vertices: &[Point], scratch: &mut EdgeTableScratch) {
         let EdgeTable {
             slab_ys,
@@ -157,16 +154,15 @@ impl EdgeTable {
         offsets.push(0);
         xs.clear();
 
-        // Collect the vertical edges and their extent, starting with the
+        // Collect the vertical edges and their y-extent, starting with the
         // closing edge v(n-1) → v0.
         edges.clear();
-        let (mut x_range, mut y_range) = ((i32::MAX, i32::MIN), (i32::MAX, i32::MIN));
+        let mut y_range = (i32::MAX, i32::MIN);
         let mut a = vertices.last().copied().unwrap_or_default();
         for &b in vertices {
             if a.x == b.x && a.y != b.y {
                 let (lo, hi) = (a.y.min(b.y), a.y.max(b.y));
                 edges.push((a.x, lo, hi));
-                x_range = (x_range.0.min(a.x), x_range.1.max(a.x));
                 y_range = (y_range.0.min(lo), y_range.1.max(hi));
             }
             a = b;
@@ -210,44 +206,18 @@ impl EdgeTable {
         };
         let slabs = slab_ys.len() - 1;
 
-        // Narrow polygons count their edges per x column, so the pass below
-        // can scatter each edge straight to its place in x order.
-        let x_min = x_range.0;
-        let width = x_range.1.abs_diff(x_min) as usize;
-        let narrow = width < SPAN_PER_VALUE * edges.len();
-        if narrow {
-            cursor.clear();
-            cursor.resize(width + 2, 0);
-            for &(x, _, _) in edges.iter() {
-                cursor[x.abs_diff(x_min) as usize + 1] += 1;
-            }
-            for column in 1..cursor.len() {
-                cursor[column] += cursor[column - 1];
-            }
-        }
-
         // Count each slab's crossings into `offsets` (shifted by one) and
         // order the edges by x.
         offsets.resize(slabs + 1, 0);
         by_x.clear();
-        by_x.resize(edges.len(), (0, 0, 0));
-        for (i, &(x, lo, hi)) in edges.iter().enumerate() {
+        for &(x, lo, hi) in edges.iter() {
             let (first, end) = (slab_of(lo), slab_of(hi));
             for slab in first..end {
                 offsets[slab + 1] += 1;
             }
-            let at = if narrow {
-                let next = &mut cursor[x.abs_diff(x_min) as usize];
-                *next += 1;
-                *next as usize - 1
-            } else {
-                i
-            };
-            by_x[at] = (x, first as u32, end as u32);
+            by_x.push((x, first as u32, end as u32));
         }
-        if !narrow {
-            by_x.sort_unstable_by_key(|&(x, _, _)| x);
-        }
+        by_x.sort_unstable_by_key(|&(x, _, _)| x);
         for slab in 0..slabs {
             debug_assert!(
                 offsets[slab + 1].is_multiple_of(2),
@@ -795,7 +765,7 @@ mod tests {
             comb().vertices().to_vec(),
             clockwise,
             tall_l(),
-            // Wide rather than tall: the edges take the comparison sort.
+            // Wide rather than tall: short slabs, far-apart crossings.
             tall_l().iter().map(|v| Point::new(v.y, v.x)).collect(),
             Vec::new(),
         ];

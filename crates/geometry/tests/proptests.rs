@@ -193,10 +193,10 @@ proptest! {
         polys in prop::collection::vec((skyline_polygon(), 0u32..3, 0u32..3), 1..10)
     ) {
         // One scratch and one table carried across the whole sequence, as a
-        // kernel thread carries them across pairs. Stretching an axis by
-        // 2^9 or 2^18 moves the same shape from the rank array (y) or
-        // counting sort (x) to their sort-based fallbacks, so each path
-        // also rebuilds over the other's leftovers.
+        // kernel thread carries them across pairs. Stretching y by 2^9 or
+        // 2^18 moves the same shape from the rank array to the sort-based
+        // fallback, so each path also rebuilds over the other's leftovers;
+        // stretching x varies the crossings' spread.
         let mut scratch = EdgeTableScratch::default();
         let mut table = EdgeTable::default();
         for (poly, kx, ky) in &polys {
