@@ -763,8 +763,7 @@ fn store_smoke() {
 /// to an in-memory twin (placement can reorder work but never change the
 /// answer), and asserts the residency-aware run faulted *fewer* tiles from
 /// disk: resident-first ordering turns the start of each round into pager
-/// hits, and the background prefetcher overlaps upcoming faults with
-/// compute. The miss gap and the scheduler counters are appended to
+/// hits. The miss gap and the scheduler counters are appended to
 /// `BENCH_trajectory.json` as a `locality` entry (empty substrates, so the
 /// perf gate skips it just as it skips serve- and store-only entries).
 fn locality() {
@@ -795,15 +794,13 @@ fn locality() {
         .collect();
 
     // Both runs share this config: one CPU engine so dispatch order is the
-    // only degree of freedom, a second executor thread so the prefetcher can
-    // overlap with the worker, and no response cache so every round actually
+    // only degree of freedom, and no response cache so every round actually
     // recomputes (and therefore re-pages) the slide pair.
     let config = |policy: PlacementPolicy| {
         ServiceConfig::default()
             .with_engines(vec![
                 EngineConfig::default().with_device(AggregationDevice::Cpu)
             ])
-            .with_executor_threads(2)
             .with_cache_capacity(0)
             .with_placement(policy)
     };
@@ -883,15 +880,11 @@ fn locality() {
         rr_storage.pager_misses, rr_storage.pager_hits
     );
     println!(
-        "  residency-aware  {:4} pager misses  ({} hits, {} faults avoided, {} affinity hits, \
-         prefetch {} issued / {} used / {} wasted)",
+        "  residency-aware  {:4} pager misses  ({} hits, {} faults avoided, {} affinity hits)",
         ra_storage.pager_misses,
         ra_storage.pager_hits,
         ra_stats.scheduler.faults_avoided,
-        ra_stats.scheduler.affinity_hits,
-        ra_stats.scheduler.prefetch_issued,
-        ra_stats.scheduler.prefetch_used,
-        ra_stats.scheduler.prefetch_wasted
+        ra_stats.scheduler.affinity_hits
     );
     println!("  stats: {}", json::stats_to_json(&ra_stats));
     assert!(
@@ -907,10 +900,6 @@ fn locality() {
     assert!(
         ra_stats.scheduler.affinity_hits > 0,
         "some shards must land on the engine holding their tiles resident"
-    );
-    assert!(
-        ra_stats.scheduler.prefetch_issued > 0,
-        "the background prefetcher must have faulted tiles ahead of demand"
     );
     assert_eq!(rr_stats.scheduler.policy, "round-robin");
     assert_eq!(ra_stats.scheduler.policy, "residency-aware");
@@ -931,7 +920,6 @@ fn locality() {
             locality: Some(LocalityMetrics {
                 policy: ra_stats.scheduler.policy.clone(),
                 affinity_hits: ra_stats.scheduler.affinity_hits,
-                prefetch_issued: ra_stats.scheduler.prefetch_issued,
                 residency_aware_pager_misses: ra_storage.pager_misses,
                 round_robin_pager_misses: rr_storage.pager_misses,
             }),

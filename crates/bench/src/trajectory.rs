@@ -84,8 +84,6 @@ pub struct LocalityMetrics {
     pub policy: String,
     /// Shards dispatched to the engine that last faulted their tiles.
     pub affinity_hits: u64,
-    /// Tile faults issued ahead of demand by the background prefetcher.
-    pub prefetch_issued: u64,
     /// Pager misses across the run under residency-aware placement.
     pub residency_aware_pager_misses: u64,
     /// Pager misses for the identical workload under round-robin placement.
@@ -256,7 +254,6 @@ fn parse_entry(value: &Value) -> Result<TrajectoryEntry, String> {
                     .ok_or("\"locality\" missing \"policy\"")?
                     .to_string(),
                 affinity_hits: num("affinity_hits")? as u64,
-                prefetch_issued: num("prefetch_issued")? as u64,
                 residency_aware_pager_misses: num("residency_aware_pager_misses")? as u64,
                 round_robin_pager_misses: num("round_robin_pager_misses")? as u64,
             })
@@ -352,11 +349,9 @@ pub fn format_trajectory(entries: &[TrajectoryEntry]) -> String {
             None => String::new(),
             Some(l) => format!(
                 ",\n      \"locality\": {{\"policy\": \"{}\", \"affinity_hits\": {}, \
-                 \"prefetch_issued\": {}, \"residency_aware_pager_misses\": {}, \
-                 \"round_robin_pager_misses\": {}}}",
+                 \"residency_aware_pager_misses\": {}, \"round_robin_pager_misses\": {}}}",
                 l.policy,
                 l.affinity_hits,
-                l.prefetch_issued,
                 l.residency_aware_pager_misses,
                 l.round_robin_pager_misses
             ),
@@ -726,7 +721,6 @@ mod tests {
             locality: Some(LocalityMetrics {
                 policy: "residency-aware".into(),
                 affinity_hits: 17,
-                prefetch_issued: 9,
                 residency_aware_pager_misses: ra_misses,
                 round_robin_pager_misses: rr_misses,
             }),

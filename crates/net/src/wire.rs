@@ -462,6 +462,8 @@ pub struct WireStats {
     pub cache_entries: u64,
     /// Shards computed per engine, by pool index.
     pub shards_per_engine: Vec<u64>,
+    /// Shards an engine abandoned that were re-queued to a survivor.
+    pub redispatches: u64,
     /// Decoded tiles resident across disk-backed slides.
     pub resident_tiles: u64,
     /// `f64::to_bits` of the pager hit rate.
@@ -476,12 +478,6 @@ pub struct WireStats {
     pub affinity_hits: u64,
     /// Dispatches that still had to fault a tile in.
     pub affinity_misses: u64,
-    /// Disk reads issued by the background prefetcher.
-    pub prefetch_issued: u64,
-    /// Prefetches still resident when their shard dispatched.
-    pub prefetch_used: u64,
-    /// Prefetches evicted (or orphaned) before their shard dispatched.
-    pub prefetch_wasted: u64,
     /// Resident disk-backed tiles encountered at dispatch.
     pub faults_avoided: u64,
 }
@@ -498,6 +494,7 @@ impl WireStats {
             peak_in_flight: stats.peak_in_flight as u64,
             cache_entries: stats.cache_entries as u64,
             shards_per_engine: stats.shards_per_engine.clone(),
+            redispatches: stats.redispatches,
             resident_tiles: stats.resident_tiles as u64,
             pager_hit_rate_bits: stats.pager_hit_rate.to_bits(),
             bytes_on_disk: stats.bytes_on_disk,
@@ -505,9 +502,6 @@ impl WireStats {
             policy: stats.scheduler.policy.clone(),
             affinity_hits: stats.scheduler.affinity_hits,
             affinity_misses: stats.scheduler.affinity_misses,
-            prefetch_issued: stats.scheduler.prefetch_issued,
-            prefetch_used: stats.scheduler.prefetch_used,
-            prefetch_wasted: stats.scheduler.prefetch_wasted,
             faults_avoided: stats.scheduler.faults_avoided,
         }
     }
@@ -529,6 +523,7 @@ impl WireStats {
         for &shards in &self.shards_per_engine {
             w.u64(shards);
         }
+        w.u64(self.redispatches);
         w.u64(self.resident_tiles);
         w.u64(self.pager_hit_rate_bits);
         w.u64(self.bytes_on_disk);
@@ -536,9 +531,6 @@ impl WireStats {
         w.str(&self.policy);
         w.u64(self.affinity_hits);
         w.u64(self.affinity_misses);
-        w.u64(self.prefetch_issued);
-        w.u64(self.prefetch_used);
-        w.u64(self.prefetch_wasted);
         w.u64(self.faults_avoided);
     }
 
@@ -564,6 +556,7 @@ impl WireStats {
             peak_in_flight,
             cache_entries,
             shards_per_engine,
+            redispatches: r.u64("stats.redispatches")?,
             resident_tiles: r.u64("stats.resident_tiles")?,
             pager_hit_rate_bits: r.u64("stats.pager_hit_rate_bits")?,
             bytes_on_disk: r.u64("stats.bytes_on_disk")?,
@@ -571,9 +564,6 @@ impl WireStats {
             policy: r.str("stats.policy")?,
             affinity_hits: r.u64("stats.affinity_hits")?,
             affinity_misses: r.u64("stats.affinity_misses")?,
-            prefetch_issued: r.u64("stats.prefetch_issued")?,
-            prefetch_used: r.u64("stats.prefetch_used")?,
-            prefetch_wasted: r.u64("stats.prefetch_wasted")?,
             faults_avoided: r.u64("stats.faults_avoided")?,
         })
     }
@@ -1069,6 +1059,7 @@ mod tests {
             peak_in_flight: 4,
             cache_entries: 7,
             shards_per_engine: vec![30, 25, 25],
+            redispatches: 5,
             resident_tiles: 6,
             // A rate with no short decimal rendering: bit-identity would
             // fail under any text round-trip.
@@ -1078,9 +1069,6 @@ mod tests {
             policy: "residency-aware".into(),
             affinity_hits: 40,
             affinity_misses: 9,
-            prefetch_issued: 24,
-            prefetch_used: 20,
-            prefetch_wasted: 4,
             faults_avoided: 55,
         }
     }

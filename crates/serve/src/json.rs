@@ -118,8 +118,7 @@ pub fn stats_to_json(stats: &ServiceStats) -> String {
          \"redispatches\":{},\"engines\":[{}],\
          \"resident_tiles\":{},\"pager_hit_rate\":{},\"bytes_on_disk\":{},\
          \"coalesced_faults\":{},\"scheduler\":{{\"policy\":{},\"affinity_hits\":{},\
-         \"affinity_misses\":{},\"prefetch_issued\":{},\"prefetch_used\":{},\
-         \"prefetch_wasted\":{},\"faults_avoided\":{}}}}}",
+         \"affinity_misses\":{},\"faults_avoided\":{}}}}}",
         stats.submitted,
         stats.completed,
         stats.cache_hits,
@@ -137,9 +136,6 @@ pub fn stats_to_json(stats: &ServiceStats) -> String {
         json_string(&scheduler.policy),
         scheduler.affinity_hits,
         scheduler.affinity_misses,
-        scheduler.prefetch_issued,
-        scheduler.prefetch_used,
-        scheduler.prefetch_wasted,
         scheduler.faults_avoided,
     )
 }

@@ -9,16 +9,14 @@
 //! the configured [`PlacementPolicy`]:
 //!
 //! * [`PlacementPolicy::RoundRobin`] — the historical behaviour: the first
-//!   eligible shard in the most urgent lane, no reordering, no prefetch.
+//!   eligible shard in the most urgent lane, no reordering.
 //! * [`PlacementPolicy::ResidencyAware`] (the default) — places work where
 //!   its data already is. A query's shards are ordered so tiles resident in
-//!   the store's pagers compute first; at pop time a worker prefers shards
-//!   whose tiles are resident, breaking ties toward tiles *it* last faulted
-//!   in ([`crate::SlideStore::tile_affinity`]); and a background prefetcher
-//!   task (spawned on the service executor, the PR 4 seam) faults upcoming
-//!   tiles into the pagers' free capacity a bounded window ahead of
-//!   compute. An anti-starvation guard caps how often any eligible shard
-//!   may be bypassed.
+//!   the store's pagers compute first, and at pop time a worker prefers
+//!   shards whose tiles are resident, breaking ties toward tiles *it* last
+//!   faulted in ([`crate::SlideStore::tile_affinity`]). An anti-starvation
+//!   guard caps how often any eligible shard may be bypassed. Tiles are
+//!   only ever faulted in on demand, by the shard that needs them.
 //!
 //! Placement changes only *where and when* a shard runs — never its
 //! position in the response's merge order — so responses are bit-identical
@@ -26,8 +24,8 @@
 //! `tests/placement_proptests.rs` pin this).
 //!
 //! Every decision is exported: [`SchedulerStats`] counts affinity hits and
-//! misses, prefetches issued/used/wasted, and disk faults avoided, surfaced
-//! through [`crate::ServiceStats`] and its JSON rendering.
+//! misses and disk faults avoided, surfaced through [`crate::ServiceStats`]
+//! and its JSON rendering.
 
 use crate::service::QueryState;
 use crate::store::{TileId, TileResidency};
@@ -59,11 +57,10 @@ const BYPASS_LIMIT: u32 = 64;
 /// docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum PlacementPolicy {
-    /// First eligible shard wins; no reordering, no prefetch. The
-    /// historical dispatch order.
+    /// First eligible shard wins; no reordering. The historical dispatch
+    /// order.
     RoundRobin,
-    /// Resident tiles first, affinity tie-break, background prefetch — the
-    /// default.
+    /// Resident tiles first, affinity tie-break — the default.
     #[default]
     ResidencyAware,
 }
@@ -90,29 +87,26 @@ pub struct SchedulerStats {
     pub affinity_hits: u64,
     /// Shards dispatched that still had to fault at least one tile in.
     pub affinity_misses: u64,
-    /// Disk reads issued by the background prefetcher.
+    /// Always 0: the service has no background prefetcher. Kept only
+    /// because the end-to-end benchmark still reads it for its
+    /// `serve.prefetch_used_share` metric; the next change to the benchmark
+    /// removes both this field and that metric.
     pub prefetch_issued: u64,
-    /// Prefetched shards whose tiles were still resident when the shard was
-    /// dispatched: the prefetch converted a would-be fault into a hit.
+    /// Always 0, for the same reason as [`SchedulerStats::prefetch_issued`],
+    /// and removed together with it.
     pub prefetch_used: u64,
-    /// Prefetched shards whose tiles had been evicted again (or whose query
-    /// finished) before dispatch: the prefetch read was wasted.
-    pub prefetch_wasted: u64,
     /// Resident disk-backed tiles encountered at dispatch — demand faults
-    /// the placement (ordering, affinity, prefetch) avoided.
+    /// the placement (ordering, affinity) avoided.
     pub faults_avoided: u64,
 }
 
-/// Lock-free counters behind [`SchedulerStats`], shared by the queue, the
-/// policy and the prefetcher tasks.
+/// Lock-free counters behind [`SchedulerStats`], shared by the queue and
+/// the policy.
 #[derive(Debug, Default)]
-pub(crate) struct SchedulerCounters {
-    pub(crate) affinity_hits: AtomicU64,
-    pub(crate) affinity_misses: AtomicU64,
-    pub(crate) prefetch_issued: AtomicU64,
-    pub(crate) prefetch_used: AtomicU64,
-    pub(crate) prefetch_wasted: AtomicU64,
-    pub(crate) faults_avoided: AtomicU64,
+struct SchedulerCounters {
+    affinity_hits: AtomicU64,
+    affinity_misses: AtomicU64,
+    faults_avoided: AtomicU64,
 }
 
 impl SchedulerCounters {
@@ -121,9 +115,8 @@ impl SchedulerCounters {
             policy: policy.name().to_string(),
             affinity_hits: self.affinity_hits.load(Ordering::Relaxed),
             affinity_misses: self.affinity_misses.load(Ordering::Relaxed),
-            prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_used: self.prefetch_used.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
+            prefetch_issued: 0,
+            prefetch_used: 0,
             faults_avoided: self.faults_avoided.load(Ordering::Relaxed),
         }
     }
@@ -189,11 +182,6 @@ impl ShardJob {
 /// The placement decisions a policy makes, over the crate's internal shard
 /// and query types. Object-safe; the queue holds one boxed instance.
 trait Placement: Send + Sync {
-    /// Whether queries under this policy get a background prefetcher task.
-    fn wants_prefetch(&self) -> bool {
-        false
-    }
-
     /// Reorders a query's `(position, tile_index)` shards before they are
     /// enqueued. Only the *enqueue* order changes — `position` still names
     /// each tile's slot in the merge-ordered response, so placement cannot
@@ -237,10 +225,6 @@ impl ResidencyAware {
 }
 
 impl Placement for ResidencyAware {
-    fn wants_prefetch(&self) -> bool {
-        true
-    }
-
     fn order_shards(&self, query: &QueryState, shards: &mut [(usize, usize)]) {
         let first = query.store.residency_snapshot(query.meta.first);
         let second = query.store.residency_snapshot(query.meta.second);
@@ -252,7 +236,7 @@ impl Placement for ResidencyAware {
                 && second.as_ref().is_none_or(|s| s.is_resident(tile))
         };
         // Stable: resident tiles keep their relative order in front,
-        // non-resident ones behind — the prefetcher walks this same order.
+        // non-resident ones behind.
         shards.sort_by_key(|&(_, tile)| !resident(tile));
     }
 
@@ -327,13 +311,6 @@ impl Placement for ResidencyAware {
                 counters.affinity_misses.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if lock(&job.query.prefetched).remove(&job.tile_index) {
-            if Self::available(residency) {
-                counters.prefetch_used.fetch_add(1, Ordering::Relaxed);
-            } else {
-                counters.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -345,7 +322,7 @@ pub(crate) struct JobQueue {
     state: Mutex<QueueState>,
     policy: Box<dyn Placement>,
     kind: PlacementPolicy,
-    counters: Arc<SchedulerCounters>,
+    counters: SchedulerCounters,
     /// Engine liveness: a dead engine's pop parks instead of taking work
     /// (and is lazily revived there once its cooldown elapses).
     supervisor: Arc<Supervisor>,
@@ -374,7 +351,7 @@ impl JobQueue {
             }),
             policy,
             kind,
-            counters: Arc::new(SchedulerCounters::default()),
+            counters: SchedulerCounters::default(),
             supervisor,
         }
     }
@@ -401,21 +378,10 @@ impl JobQueue {
         orphaned
     }
 
-    /// Whether queries dispatched through this queue should get a
-    /// background prefetcher (see [`run_prefetch`]).
-    pub(crate) fn wants_prefetch(&self) -> bool {
-        self.policy.wants_prefetch()
-    }
-
     /// Applies the policy's shard ordering before enqueueing (see
     /// [`Placement::order_shards`]).
     pub(crate) fn place(&self, query: &QueryState, shards: &mut [(usize, usize)]) {
         self.policy.order_shards(query, shards);
-    }
-
-    /// The shared placement counters (handed to prefetcher tasks).
-    pub(crate) fn counters(&self) -> Arc<SchedulerCounters> {
-        Arc::clone(&self.counters)
     }
 
     /// Snapshot of the placement counters.
@@ -499,104 +465,6 @@ impl Future for PopJob<'_> {
     }
 }
 
-/// Wakes the prefetcher when a query's compute progress advances (see
-/// [`run_prefetch`]): workers notify after every completed shard.
-pub(crate) struct ProgressNotify {
-    wakers: Mutex<Vec<Waker>>,
-}
-
-impl ProgressNotify {
-    pub(crate) fn new() -> Self {
-        ProgressNotify {
-            wakers: Mutex::new(Vec::new()),
-        }
-    }
-
-    pub(crate) fn notify(&self) {
-        for waker in std::mem::take(&mut *lock(&self.wakers)) {
-            waker.wake();
-        }
-    }
-}
-
-/// Resolves `true` once `target` is within `window` shards of the query's
-/// compute progress, `false` once the query has finished (nothing left to
-/// prefetch for). Re-checks under the notify lock, so a worker's progress
-/// notification between check and registration cannot be lost.
-struct WithinWindow<'a> {
-    query: &'a QueryState,
-    target: usize,
-    window: usize,
-}
-
-impl WithinWindow<'_> {
-    fn check(&self) -> Option<bool> {
-        let remaining = self.query.remaining.load(Ordering::Acquire);
-        if remaining == 0 {
-            return Some(false);
-        }
-        let progress = self.query.shard_total - remaining.min(self.query.shard_total);
-        if self.target <= progress + self.window {
-            return Some(true);
-        }
-        None
-    }
-}
-
-impl Future for WithinWindow<'_> {
-    type Output = bool;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(ready) = self.check() {
-            return Poll::Ready(ready);
-        }
-        let mut wakers = lock(&self.query.progress.wakers);
-        if let Some(ready) = self.check() {
-            return Poll::Ready(ready);
-        }
-        register_waker(&mut wakers, cx.waker());
-        Poll::Pending
-    }
-}
-
-/// The background prefetcher task of one query (an executor task on the
-/// PR 4 seam): walks the placement order, staying at most `window` tiles
-/// ahead of compute, and faults each upcoming tile of both slides into the
-/// pagers' *free* capacity ([`crate::SlideStore::prefetch_tile`] never
-/// evicts, so prefetch cannot push out tiles the queries still need).
-/// Exits as soon as the query finishes; read failures are left for the
-/// demand fetch to surface as the query's typed error.
-pub(crate) async fn run_prefetch(
-    query: Arc<QueryState>,
-    order: Vec<usize>,
-    counters: Arc<SchedulerCounters>,
-    window: usize,
-) {
-    for (target, tile_index) in order.into_iter().enumerate() {
-        let within = WithinWindow {
-            query: &query,
-            target,
-            window,
-        };
-        if !within.await {
-            return;
-        }
-        let mut issued = false;
-        for slide in [query.meta.first, query.meta.second] {
-            if let Ok(true) = query.store.prefetch_tile(TileId {
-                slide,
-                index: tile_index,
-            }) {
-                counters.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-                issued = true;
-            }
-        }
-        if issued {
-            lock(&query.prefetched).insert(tile_index);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,7 +475,6 @@ mod tests {
     use sccg::pipeline::exec::block_on;
     use sccg::pixelbox::PixelBoxConfig;
     use sccg_geometry::text::{parse_polygon_file, write_polygon_file};
-    use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::task::Wake;
 
@@ -663,9 +530,6 @@ mod tests {
             failure: Mutex::new(None),
             responder,
             stream: None,
-            prefetched: Mutex::new(HashSet::new()),
-            progress: ProgressNotify::new(),
-            shard_total: shards,
             deadline: None,
         })
     }

@@ -37,9 +37,7 @@
 
 use crate::cache::{config_fingerprint, CacheKey, LruCache};
 use crate::request::{QueryPriority, QueryRequest, TileSelection};
-use crate::scheduler::{
-    run_prefetch, JobQueue, PlacementPolicy, ProgressNotify, SchedulerStats, ShardJob, Worker,
-};
+use crate::scheduler::{JobQueue, PlacementPolicy, SchedulerStats, ShardJob, Worker};
 use crate::store::{SlideId, SlideStore, TileId};
 use crate::supervisor::{EngineHealth, Supervisor};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -51,7 +49,6 @@ use sccg::{
 };
 use sccg_gpu_sim::{Device, DeviceConfig};
 use serde::Serialize;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -414,8 +411,8 @@ pub(crate) struct QueryMeta {
 }
 
 /// Shared state of one in-flight query. `pub(crate)` because the scheduler
-/// layer reads it for placement (residency, affinity, progress) — the
-/// fields' invariants are still maintained exclusively here.
+/// layer reads it for placement (residency, affinity) — the fields'
+/// invariants are still maintained exclusively here.
 pub(crate) struct QueryState {
     pub(crate) key: CacheKey,
     pub(crate) meta: QueryMeta,
@@ -436,15 +433,6 @@ pub(crate) struct QueryState {
     /// never block on a slow stream consumer — a lagging client backs up in
     /// its own transport, not in the engine pool.
     pub(crate) stream: Option<Sender<QueryEvent>>,
-    /// Tile indices the background prefetcher faulted in for this query and
-    /// compute has not consumed yet (the scheduler settles each into
-    /// `prefetch_used`/`prefetch_wasted` at dispatch; leftovers are wasted).
-    pub(crate) prefetched: Mutex<HashSet<usize>>,
-    /// Wakes the query's prefetcher as compute progresses.
-    pub(crate) progress: ProgressNotify,
-    /// Total shards the query was split into (`remaining` counts down from
-    /// it; the difference is the prefetcher's progress measure).
-    pub(crate) shard_total: usize,
     /// The absolute deadline computed at submission from
     /// [`QueryRequest::with_deadline`], paired with the requested duration
     /// in milliseconds (echoed in the typed error). Workers check it when
@@ -540,14 +528,13 @@ struct ServiceInner {
 
 impl ServiceInner {
     /// Settles one shard as finished (computed, failed, or abandoned):
-    /// decrements the merge barrier, finalizes the query on its last shard,
-    /// and advances the prefetcher. Every path a popped shard can take must
-    /// end here exactly once — or be re-queued — or the barrier hangs.
+    /// decrements the merge barrier and finalizes the query on its last
+    /// shard. Every path a popped shard can take must end here exactly
+    /// once — or be re-queued — or the barrier hangs.
     fn settle_shard(&self, query: &Arc<QueryState>) {
         if query.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.finalize(query);
         }
-        query.progress.notify();
     }
 
     /// Disposes of a shard a dying engine abandoned: re-queued to the
@@ -590,16 +577,6 @@ impl ServiceInner {
         }
     }
     fn finalize(&self, query: &QueryState) {
-        // Prefetched tiles compute never consumed (e.g. the query failed
-        // early) are settled as wasted, so the prefetch ledger always
-        // balances: issued = used + wasted once all queries resolve.
-        let leftover = std::mem::take(&mut *lock(&query.prefetched)).len() as u64;
-        if leftover > 0 {
-            self.queue
-                .counters()
-                .prefetch_wasted
-                .fetch_add(leftover, Ordering::Relaxed);
-        }
         // A query with a failed shard resolves to an error; the admission
         // slot is still returned so the service stays serviceable.
         if let Some(error) = lock(&query.failure).take() {
@@ -988,9 +965,6 @@ impl ComparisonService {
             failure: Mutex::new(None),
             responder: tx,
             stream,
-            prefetched: Mutex::new(HashSet::new()),
-            progress: ProgressNotify::new(),
-            shard_total: shard_count,
             deadline,
         });
         // The placement policy may reorder which shard is *enqueued* first
@@ -999,23 +973,6 @@ impl ComparisonService {
         // cannot change the result.
         let mut shards: Vec<(usize, usize)> = prepared.indices.into_iter().enumerate().collect();
         self.inner.queue.place(&query, &mut shards);
-        // Spawn the query's background prefetcher (when the policy wants
-        // one and some slide actually pages from disk) *before* the shards,
-        // so it is runnable as soon as compute starts. It stays within the
-        // smallest residency bound of the query's disk-backed slides — the
-        // window within which prefetched tiles can all be resident at once.
-        let pages_from_disk = [request.first, request.second]
-            .iter()
-            .any(|&slide| self.store.residency_snapshot(slide).is_some());
-        if self.inner.queue.wants_prefetch() && shard_count > 0 && pages_from_disk {
-            let window = self.store.residency_bound().unwrap_or(1).max(1);
-            self.executor.spawn(run_prefetch(
-                Arc::clone(&query),
-                shards.iter().map(|&(_, tile)| tile).collect(),
-                self.inner.queue.counters(),
-                window,
-            ));
-        }
         let lane = request.priority.lane();
         for (position, tile_index) in shards {
             self.inner.queue.push(
@@ -1251,8 +1208,7 @@ async fn worker_task(index: usize, engine: CrossComparison, inner: Arc<ServiceIn
             }
         }
         // Settle the shard: decrement the merge barrier, finalize on the
-        // last one, and wake the query's prefetcher (its window shifted,
-        // and on the last shard it learns to exit).
+        // last one.
         inner.settle_shard(&job.query);
     }
 }

@@ -586,28 +586,6 @@ impl SlideStore {
         Some(self.disk_pager(slide)?.residency_snapshot())
     }
 
-    /// Prefetches a disk-backed tile into its pager's *free* capacity (a
-    /// prefetch never evicts — see [`TileStorage::prefetch`]). Returns
-    /// `Ok(true)` when this call performed a disk read; `Ok(false)` when
-    /// the tile was already resident or in flight, the pager is full, or
-    /// the handle targets an in-memory slide, an unknown slide, or an
-    /// out-of-range index (prefetch is advisory, so bad handles are a no-op
-    /// rather than an error — the demand fetch will report them).
-    ///
-    /// # Errors
-    ///
-    /// [`SccgError::Storage`] when the tile's block is corrupt, truncated
-    /// or unreadable.
-    pub fn prefetch_tile(&self, tile: TileId) -> Result<bool, SccgError> {
-        let Some(storage) = self.disk_pager(tile.slide) else {
-            return Ok(false);
-        };
-        if tile.index >= storage.tile_count() {
-            return Ok(false);
-        }
-        storage.prefetch(tile.index)
-    }
-
     /// Aggregate out-of-core telemetry across every disk-backed slide.
     pub fn storage_stats(&self) -> StorageStats {
         let pagers: Vec<Arc<TileStorage>> = {
@@ -828,10 +806,10 @@ mod tests {
     }
 
     /// The scheduler-facing locality surface: residency classification,
-    /// fault affinity tagging, snapshots, and never-evicting prefetch —
-    /// across memory slides, disk slides, and bad handles.
+    /// fault affinity tagging and snapshots — across memory slides, disk
+    /// slides, and bad handles.
     #[test]
-    fn residency_affinity_and_prefetch_surface() {
+    fn residency_and_affinity_surface() {
         let dir = spill_dir("locality");
         let store = SlideStore::with_spill(&dir, 2).unwrap();
         let texts: Vec<String> = (0..4)
@@ -843,7 +821,7 @@ mod tests {
             .collect();
         let disk = store.register_slide_streaming("disk", texts).unwrap();
 
-        // A memory slide in the same store: always Memory, never prefetched.
+        // A memory slide: always Memory, never fault-tagged.
         let mem_store = SlideStore::new();
         let mem = mem_store.register_slide("mem", vec![vec![record()]]);
         let mem_tile = TileId {
@@ -852,7 +830,6 @@ mod tests {
         };
         assert_eq!(mem_store.tile_residency(mem_tile), TileResidency::Memory);
         assert_eq!(mem_store.tile_affinity(mem_tile), None);
-        assert_eq!(mem_store.prefetch_tile(mem_tile), Ok(false));
         assert!(mem_store.residency_snapshot(mem).is_none());
 
         // Disk tiles start absent; a tagged fetch makes them resident and
@@ -867,23 +844,17 @@ mod tests {
         assert_eq!(store.tile_residency(t0), TileResidency::Resident);
         assert_eq!(store.tile_affinity(t0), Some(3));
 
-        // Prefetch fills the one free slot, then refuses to evict.
+        // An untagged fetch makes a tile resident without an affinity.
         let t1 = TileId {
             slide: disk,
             index: 1,
         };
-        assert_eq!(store.prefetch_tile(t1), Ok(true));
+        store.tile(t1).unwrap();
         assert_eq!(store.tile_residency(t1), TileResidency::Resident);
-        assert_eq!(
-            store.prefetch_tile(TileId {
-                slide: disk,
-                index: 2,
-            }),
-            Ok(false),
-            "full pager: prefetch must not evict"
-        );
+        assert_eq!(store.tile_affinity(t1), None);
         let snapshot = store.residency_snapshot(disk).unwrap();
         assert!(snapshot.is_resident(0) && snapshot.is_resident(1));
+        assert!(!snapshot.is_resident(2));
         assert_eq!(snapshot.resident_count(), 2);
 
         // Bad handles are placement no-ops, not errors.
@@ -893,13 +864,12 @@ mod tests {
         };
         assert_eq!(store.tile_residency(missing), TileResidency::Absent);
         assert_eq!(store.tile_affinity(missing), None);
-        assert_eq!(store.prefetch_tile(missing), Ok(false));
         assert_eq!(
-            store.prefetch_tile(TileId {
+            store.tile_residency(TileId {
                 slide: disk,
                 index: 42,
             }),
-            Ok(false)
+            TileResidency::Absent
         );
         assert!(store.storage_stats().coalesced_faults == 0);
         drop(store);

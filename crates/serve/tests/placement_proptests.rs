@@ -9,8 +9,7 @@
 //! pinned queries the policy must not starve), tile subsets (whose
 //! response order follows the *request*, not the placement), and backing
 //! (in-memory vs disk-backed with a residency bound smaller than the
-//! slide, where the residency-aware policy actually reorders and
-//! prefetches).
+//! slide, where the residency-aware policy actually reorders).
 
 // The vendored proptest shim's `proptest!` macro expands bodies token by
 // token; these test bodies are long enough to overflow the default limit.
@@ -76,8 +75,7 @@ fn service(
         (store, first, second, None)
     };
     // One engine per device preference so pinned queries are satisfiable,
-    // on two executor threads so a prefetcher task can never be starved by
-    // a busy worker.
+    // on two executor threads so engines genuinely run shards concurrently.
     let config = ServiceConfig::default()
         .with_engines(vec![
             EngineConfig::default().with_device(AggregationDevice::Gpu),

@@ -215,3 +215,86 @@ fn streaming_queries_page_from_disk() {
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The locality claim, counted rather than timed: one CPU engine on one
+/// executor thread makes dispatch order the only degree of freedom, so
+/// pager misses are a pure function of the placement policy. Each pager
+/// holds `RESIDENCY_BOUND` of a slide's `TILES` tiles. Round-robin walks
+/// the slide in tile order every round, so its LRU pager misses on every
+/// tile. Residency-aware placement starts each later round with the tiles
+/// the last round left resident, and those dispatches pay no fault.
+#[test]
+fn residency_aware_placement_faults_fewer_tiles_than_round_robin() {
+    const ROUNDS: usize = 3;
+    let data = dataset();
+    let first_texts = tile_texts(&data, false);
+    let second_texts = tile_texts(&data, true);
+    let config = |policy: PlacementPolicy| {
+        ServiceConfig::default()
+            .with_engines(vec![
+                EngineConfig::default().with_device(AggregationDevice::Cpu)
+            ])
+            .with_executor_threads(1)
+            .with_cache_capacity(0)
+            .with_placement(policy)
+    };
+
+    let memory_store = SlideStore::new();
+    let mem_first = memory_store
+        .register_slide_text("locality-a", &first_texts)
+        .unwrap();
+    let mem_second = memory_store
+        .register_slide_text("locality-b", &second_texts)
+        .unwrap();
+    let twin = ComparisonService::new(memory_store, config(PlacementPolicy::RoundRobin))
+        .unwrap()
+        .submit(QueryRequest::new(mem_first, mem_second))
+        .unwrap()
+        .wait()
+        .unwrap();
+
+    let run = |policy: PlacementPolicy| {
+        let dir = spill_dir(policy.name());
+        let store = SlideStore::with_spill(&dir, RESIDENCY_BOUND).unwrap();
+        let first = store
+            .register_slide_streaming("locality-a", first_texts.clone())
+            .unwrap();
+        let second = store
+            .register_slide_streaming("locality-b", second_texts.clone())
+            .unwrap();
+        let service = ComparisonService::new(store, config(policy)).unwrap();
+        for round in 0..ROUNDS {
+            let response = service
+                .submit(QueryRequest::new(first, second))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(
+                semantic_view(&response),
+                semantic_view(&twin),
+                "{} round {round} diverged from the in-memory twin",
+                policy.name()
+            );
+            assert_eq!(response.similarity(), twin.similarity());
+        }
+        let misses = service.store().storage_stats().pager_misses;
+        let scheduler = service.stats().scheduler;
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
+        (misses, scheduler)
+    };
+    let (rr_misses, rr_scheduler) = run(PlacementPolicy::RoundRobin);
+    let (ra_misses, ra_scheduler) = run(PlacementPolicy::ResidencyAware);
+
+    assert!(TILES as usize > RESIDENCY_BOUND);
+    let (tiles, bound, rounds) = (TILES as u64, RESIDENCY_BOUND as u64, ROUNDS as u64);
+    // Two slides: every tile of both misses in every round-robin round.
+    assert_eq!(rr_misses, 2 * tiles * rounds);
+    // The first residency-aware round is cold; each later one hits the
+    // `bound` tiles per slide left resident by the round before.
+    assert_eq!(ra_misses, 2 * (tiles + (rounds - 1) * (tiles - bound)));
+    assert!(ra_misses < rr_misses);
+    assert!(ra_scheduler.faults_avoided > 0);
+    assert_eq!(ra_scheduler.policy, "residency-aware");
+    assert_eq!(rr_scheduler.faults_avoided, 0);
+}

@@ -18,8 +18,8 @@
 //!   independent of slide size; [`PagerStats`] reports hits, misses,
 //!   coalesced (single-flight) faults, hit rate and peak residency. The
 //!   pager also exposes the scheduler-facing locality surface: recency-
-//!   neutral residency probes ([`ResidencySnapshot`]), per-tile fault
-//!   affinity, and a never-evicting [`TileStorage::prefetch`].
+//!   neutral residency probes ([`ResidencySnapshot`]) and per-tile fault
+//!   affinity.
 //!
 //! Failure semantics: a corrupt or truncated tile block fails *that tile's*
 //! reads with [`sccg::SccgError::Storage`] — queries over other tiles, and

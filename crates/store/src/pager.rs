@@ -25,9 +25,8 @@
 //!   each tile ([`TileStorage::last_faulter`]), giving the scheduler a
 //!   cheap signal for which worker's activity pulled the data in.
 //!
-//! [`TileStorage::prefetch`] faults a tile in *only into free capacity*:
-//! it never evicts, so a prefetcher running ahead of compute cannot push
-//! out tiles the current queries still need.
+//! Tiles enter the resident set only through a fetch: the pager reads on
+//! demand and never ahead of it.
 //!
 //! Failure containment is inherited from the format layer: a corrupt or
 //! truncated tile fails *its own* fetch with [`sccg::SccgError::Storage`]
@@ -318,69 +317,6 @@ impl TileStorage {
         outcome
     }
 
-    /// Faults `tile` in *only if the pager has free capacity*: a prefetch
-    /// must warm the resident set, never churn it, so it refuses to evict.
-    /// Returns `Ok(true)` when this call performed a disk read, `Ok(false)`
-    /// when the tile was already resident, a fault for it was already in
-    /// flight, or the pager is full.
-    ///
-    /// The read is counted as a pager miss like any demand fault — prefetch
-    /// moves disk reads earlier, it must not hide them from the hit-rate
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// [`SccgError::Storage`] as for [`TileStorage::fetch`]; callers
-    /// treating prefetch as advisory may ignore it (the demand fetch will
-    /// surface the same error).
-    pub fn prefetch(&self, tile: usize) -> Result<bool, SccgError> {
-        if self.is_quarantined(tile) {
-            // Prefetch is advisory: warming a quarantined tile would only
-            // re-read a bad block, so skip it rather than error.
-            return Ok(false);
-        }
-        {
-            let resident = lock(&self.resident);
-            if resident.contains(&tile) || resident.len() >= self.residency_bound {
-                return Ok(false);
-            }
-        }
-        let slot = {
-            let mut in_flight = lock(&self.in_flight);
-            if in_flight.contains_key(&tile) {
-                // A demand fetch is already reading it; adding a second
-                // waiter gains nothing.
-                return Ok(false);
-            }
-            let slot = Arc::new(FaultSlot::default());
-            in_flight.insert(tile, Arc::clone(&slot));
-            slot
-        };
-        let outcome = self.file.read_tile(tile).map(Arc::new);
-        self.record_read_outcome(tile, outcome.is_ok());
-        if let Ok(records) = &outcome {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let resident_now = {
-                let mut resident = lock(&self.resident);
-                // Demand faults may have filled the pager meanwhile; a full
-                // pager means this prefetch arrived too late to help, and
-                // inserting anyway would evict a tile someone is using.
-                if resident.len() < self.residency_bound {
-                    resident.insert(tile, Arc::clone(records));
-                }
-                resident.len() as u64
-            };
-            self.peak_resident
-                .fetch_max(resident_now, Ordering::Relaxed);
-        }
-        let failed = outcome.as_ref().err().cloned();
-        self.publish(tile, &slot, outcome);
-        match failed {
-            Some(error) => Err(error),
-            None => Ok(true),
-        }
-    }
-
     /// Takes or creates the fault slot for `tile`. Returns the slot and
     /// whether this caller owns the read.
     fn join_or_own(&self, tile: usize) -> (Arc<FaultSlot>, bool) {
@@ -645,30 +581,8 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Prefetch fills free capacity only — it reads ahead but never evicts
-    /// what demand fetches made resident.
-    #[test]
-    fn prefetch_never_evicts() {
-        let (pager, path) = build("prefetch", 4, 2);
-        pager.fetch(0).unwrap();
-        assert!(pager.prefetch(1).unwrap(), "free slot: prefetch reads");
-        assert!(pager.is_resident(0) && pager.is_resident(1));
-        assert!(!pager.prefetch(1).unwrap(), "already resident: no read");
-        // Pager is full now: further prefetches refuse rather than evict.
-        assert!(!pager.prefetch(2).unwrap());
-        assert!(!pager.prefetch(3).unwrap());
-        assert!(pager.is_resident(0) && pager.is_resident(1));
-        let stats = pager.stats();
-        assert_eq!(stats.misses, 2, "the prefetch read counts as a miss");
-        // The prefetched tile serves a later demand fetch as a hit.
-        pager.fetch(1).unwrap();
-        assert_eq!(pager.stats().hits, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
     /// The circuit breaker: `QUARANTINE_THRESHOLD` consecutive failed reads
-    /// open it — further fetches fail fast *without touching the disk* —
-    /// and prefetch skips the tile instead of erroring.
+    /// open it — further fetches fail fast *without touching the disk*.
     #[test]
     fn repeated_read_failures_quarantine_the_tile() {
         let plan = sccg::FaultPlan::new(7).fail_read(0, 100);
@@ -691,8 +605,6 @@ mod tests {
             matches!(&err, SccgError::Storage { detail } if detail.contains("quarantined")),
             "{err:?}"
         );
-        assert_eq!(injector.stats().read_errors, reads_before);
-        assert!(!pager.prefetch(0).unwrap(), "prefetch skips quarantined");
         assert_eq!(injector.stats().read_errors, reads_before);
         // Healthy tiles keep paging normally.
         assert_eq!(pager.fetch(1).unwrap().as_ref(), &tile(1));
@@ -769,17 +681,6 @@ mod tests {
         assert!(pager.is_resident(0));
         assert!(!pager.is_quarantined(0));
         assert_eq!(injector.stats().read_errors, strikes);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// A coalesced waiter of a failed fault receives the owner's typed
-    /// error, and nothing is cached.
-    #[test]
-    fn prefetch_out_of_range_is_typed() {
-        let (pager, path) = build("prefetch-err", 1, 2);
-        assert!(matches!(pager.prefetch(9), Err(SccgError::Storage { .. })));
-        assert_eq!(pager.stats().misses, 0, "failed reads are not misses");
-        assert!(pager.prefetch(0).unwrap());
         std::fs::remove_file(&path).unwrap();
     }
 }
