@@ -1202,6 +1202,13 @@ fn chaos() {
     );
     assert!(!stats.engines[0].alive, "threshold 1: one kill is death");
     assert!(stats.engines[1].alive, "the survivor carried the workload");
+    let remote = WireClient::connect(addr, ClientConfig::default())
+        .and_then(|mut client| client.stats())
+        .expect("wire stats probe resolves");
+    assert_eq!(
+        remote.engines, stats.engines,
+        "a remote operator sees the dead engine"
+    );
     assert_eq!(
         fault_stats.connection_resets, 1,
         "the scheduled reset fired once"

@@ -15,8 +15,8 @@
 //! counting while the floor itself stays as it is.
 //!
 //! The JSON handling is hand-rolled (a small recursive-descent reader and a
-//! plain formatter): the workspace's vendored `serde` shim provides no
-//! derive-based deserialization, and the format is five fields deep.
+//! plain formatter): the workspace has no serialization dependency, and the
+//! format is five fields deep.
 
 use std::fmt::Write as _;
 use std::path::Path;

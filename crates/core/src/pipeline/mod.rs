@@ -49,7 +49,7 @@ use crate::pixelbox::{
     AggregationDevice, ComputeBackend, CpuBackend, PixelBoxConfig, PolygonPair, SplitConfig,
     SplitController, SplitPolicy,
 };
-use parking_lot::Mutex;
+use crate::sync::lock;
 use sccg_datagen::TilePair;
 use sccg_geometry::text::{parse_record, PolygonRecord};
 use sccg_geometry::Rect;
@@ -58,7 +58,7 @@ use sccg_rtree::HilbertRTree;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
 use std::time::Instant;
 
@@ -376,7 +376,7 @@ impl SharedState {
         for a in areas {
             acc.add_pair(*a);
         }
-        self.accumulator.lock().merge(&acc);
+        lock(&self.accumulator).merge(&acc);
         self.candidate_pairs
             .fetch_add(areas.len() as u64, Ordering::Relaxed);
         self.tiles_done.fetch_add(tiles, Ordering::Relaxed);
@@ -704,7 +704,7 @@ impl Pipeline {
 
         let submitted = shared.admitted.load(Ordering::Relaxed) as usize;
         let gpu_busy_after = self.device.stats().busy_seconds;
-        let summary = shared.accumulator.lock().summary();
+        let summary = lock(&shared.accumulator).summary();
         let mut report = PipelineReport {
             summary,
             tiles: shared.tiles_done.load(Ordering::Relaxed) as usize,

@@ -34,9 +34,9 @@
 //! [`SplitTrace`] so benches and tests can assert *convergence behavior*, not
 //! just final answers.
 
-use parking_lot::Mutex;
-use serde::Serialize;
+use crate::sync::lock;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// How the hybrid backend chooses each batch's GPU fraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -221,7 +221,7 @@ pub struct BatchObservation {
 }
 
 /// One entry of the controller's decision log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitSample {
     /// Zero-based index of the recorded batch.
     pub batch: u64,
@@ -241,7 +241,7 @@ pub struct SplitSample {
 
 /// Snapshot of the controller's per-batch decision log (bounded to the most
 /// recent [`SplitConfig::trace_capacity`] batches).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SplitTrace {
     samples: Vec<SplitSample>,
 }
@@ -352,30 +352,30 @@ impl SplitController {
 
     /// GPU fraction the next batch should run with.
     pub fn next_fraction(&self) -> f64 {
-        self.state.lock().fraction
+        lock(&self.state).fraction
     }
 
     /// Number of batches recorded so far.
     pub fn batches_recorded(&self) -> u64 {
-        self.state.lock().batches
+        lock(&self.state).batches
     }
 
     /// EWMA-smoothed GPU throughput in pairs per second, once observed.
     pub fn observed_gpu_rate(&self) -> Option<f64> {
-        self.state.lock().gpu_rate
+        lock(&self.state).gpu_rate
     }
 
     /// EWMA-smoothed CPU throughput in pairs per second *per worker thread*,
     /// once observed. The pipeline's migration thread uses this to size its
     /// single-worker migration batches.
     pub fn observed_cpu_rate_per_worker(&self) -> Option<f64> {
-        self.state.lock().cpu_rate_per_worker
+        lock(&self.state).cpu_rate_per_worker
     }
 
     /// Snapshot of the per-batch decision log.
     pub fn trace(&self) -> SplitTrace {
         SplitTrace {
-            samples: self.state.lock().trace.iter().copied().collect(),
+            samples: lock(&self.state).trace.iter().copied().collect(),
         }
     }
 
@@ -391,7 +391,7 @@ impl SplitController {
             return;
         }
         let per_worker = pairs as f64 / seconds / workers.max(1) as f64;
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.cpu_rate_per_worker = Some(ewma(
             state.cpu_rate_per_worker,
             per_worker,
@@ -408,7 +408,7 @@ impl SplitController {
         if obs.gpu_pairs == 0 && obs.cpu_pairs == 0 {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if obs.gpu_pairs > 0 {
             // Sub-timer-resolution (or exactly-zero) durations are clamped to
             // the floor rather than skipped, so the rate stays finite and the

@@ -2,11 +2,10 @@
 
 use crate::tile::{generate_tile_pair, TilePair, TileSpec};
 use crate::NucleusParams;
-use serde::{Deserialize, Serialize};
 
 /// Specification of one synthetic data set (one whole-slide image compared
 /// across two segmentation runs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Data-set name, mirroring the paper's naming (e.g. `oligoastroIII_1`).
     pub name: String,

@@ -3,7 +3,7 @@
 use crate::config::{DeviceConfig, LaunchConfig};
 use crate::context::BlockContext;
 use crate::stats::{DeviceStats, LaunchStats};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A simulated GPU device.
 ///
@@ -33,7 +33,7 @@ impl Device {
 
     /// Cumulative statistics since the device was created.
     pub fn stats(&self) -> DeviceStats {
-        *self.stats.lock()
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of blocks of the given launch that can be resident on one SM
@@ -127,7 +127,7 @@ impl Device {
         agg.cycles = self.config.launch_overhead_cycles + critical_cycles;
         agg.time_seconds = agg.cycles as f64 / self.config.clock_hz * self.config.slowdown;
 
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         stats.launches += 1;
         stats.total_cycles += agg.cycles;
         stats.busy_seconds += agg.time_seconds;
@@ -141,7 +141,7 @@ impl Device {
     pub fn transfer(&self, bytes: u64) -> f64 {
         const FIXED_OVERHEAD_SECONDS: f64 = 10.0e-6; // driver + DMA setup
         let seconds = FIXED_OVERHEAD_SECONDS + bytes as f64 / self.config.transfer_bandwidth;
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         stats.bytes_transferred += bytes;
         stats.transfer_seconds += seconds;
         stats.busy_seconds += seconds;

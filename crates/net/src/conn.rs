@@ -7,10 +7,12 @@
 //! talks to a bounded queue instead.
 //!
 //! * Inbound ([`NonBlockingReader`]): the thread reads, decodes frames, and
-//!   pushes them into a bounded queue (capacity = receive HWM). When the
-//!   consumer lags, the push blocks, the thread stops issuing reads, the
-//!   kernel buffer fills, and the peer's TCP window closes — backpressure
-//!   all the way to the sender without any unbounded buffer.
+//!   sends them into a `std::sync::mpsc::sync_channel` (capacity = receive
+//!   HWM), whose `recv_timeout` gives connection dispatchers the timed wait
+//!   the executor channel deliberately omits. When the consumer lags, the
+//!   send blocks, the thread stops issuing reads, the kernel buffer fills,
+//!   and the peer's TCP window closes — backpressure all the way to the
+//!   sender without any unbounded buffer.
 //! * Outbound ([`NonBlockingWriter`]): callers enqueue frames into a
 //!   bounded channel (capacity = send HWM) — the executor's own
 //!   [`sccg::pipeline::exec::channel`], drained by a thread bridged with
@@ -21,15 +23,13 @@
 
 use crate::frame::{encode_frame, Frame, FrameDecoder};
 use sccg::pipeline::exec::{block_on, channel, Receiver, Sender};
-use sccg::sync::lock;
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Outcome of a timed pop from a bounded queue.
+/// Outcome of a timed receive from a connection's inbound queue.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PopTimeout<T> {
     /// An item arrived (or was already buffered).
@@ -40,93 +40,12 @@ pub enum PopTimeout<T> {
     Closed,
 }
 
-/// A blocking bounded MPMC queue with timed pops and drain-on-close
-/// semantics (items pushed before `close` are still delivered).
-///
-/// This is the receive-side HWM primitive: `std`'s `Condvar` provides the
-/// timed wait the executor channel deliberately omits (executor tasks never
-/// block on time; connection dispatchers must, to observe the drain flag).
-pub(crate) struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Pushes an item, blocking while the queue is at capacity. Returns the
-    /// item back if the queue was closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut inner = lock(&self.inner);
-        while inner.items.len() >= self.capacity && !inner.closed {
-            inner = self
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if inner.closed {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Pops an item, waiting up to `timeout`. Buffered items are delivered
-    /// even after close; `Closed` means closed *and* drained.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopTimeout<T> {
-        let mut inner = lock(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return PopTimeout::Item(item);
-            }
-            if inner.closed {
-                return PopTimeout::Closed;
-            }
-            let (guard, result) = self
-                .not_empty
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            if result.timed_out() && inner.items.is_empty() && !inner.closed {
-                return PopTimeout::TimedOut;
-            }
-        }
-    }
-
-    /// Closes the queue: pushers fail, poppers drain what is buffered and
-    /// then observe `Closed`.
-    pub fn close(&self) {
-        lock(&self.inner).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
 /// Inbound half of a connection: a thread reading and decoding frames into
 /// a bounded queue. See the [module docs](self) for the backpressure chain.
 pub struct NonBlockingReader {
-    queue: std::sync::Arc<BoundedQueue<Frame>>,
+    /// Taken on close: dropping it fails a send parked at the HWM, so the
+    /// thread exits.
+    frames: Option<mpsc::Receiver<Frame>>,
     /// Clone of the socket, kept to shut the read half down on close.
     socket: TcpStream,
     thread: Option<JoinHandle<()>>,
@@ -143,21 +62,29 @@ impl NonBlockingReader {
     /// `recv_hwm` frames.
     pub fn spawn(stream: TcpStream, recv_hwm: usize) -> std::io::Result<Self> {
         let socket = stream.try_clone()?;
-        let queue = std::sync::Arc::new(BoundedQueue::new(recv_hwm));
-        let thread_queue = std::sync::Arc::clone(&queue);
+        let (tx, frames) = mpsc::sync_channel(recv_hwm.max(1));
         let thread = std::thread::Builder::new()
             .name("sccg-net-reader".into())
-            .spawn(move || read_loop(stream, &thread_queue))?;
+            .spawn(move || read_loop(stream, tx))?;
         Ok(NonBlockingReader {
-            queue,
+            frames: Some(frames),
             socket,
             thread: Some(thread),
         })
     }
 
-    /// Waits up to `timeout` for the next decoded frame.
+    /// Waits up to `timeout` for the next decoded frame. Frames decoded
+    /// before the connection ended are still delivered; `Closed` follows
+    /// them.
     pub fn recv_timeout(&self, timeout: Duration) -> PopTimeout<Frame> {
-        self.queue.pop_timeout(timeout)
+        let Some(frames) = &self.frames else {
+            return PopTimeout::Closed;
+        };
+        match frames.recv_timeout(timeout) {
+            Ok(frame) => PopTimeout::Item(frame),
+            Err(RecvTimeoutError::Timeout) => PopTimeout::TimedOut,
+            Err(RecvTimeoutError::Disconnected) => PopTimeout::Closed,
+        }
     }
 
     /// Shuts the socket's read half down and joins the thread. Frames
@@ -167,7 +94,7 @@ impl NonBlockingReader {
     }
 
     fn shutdown_and_join(&mut self) {
-        self.queue.close();
+        self.frames = None;
         // Unblocks a thread parked in `read`; an already-dead socket is fine.
         let _ = self.socket.shutdown(Shutdown::Read);
         if let Some(thread) = self.thread.take() {
@@ -182,7 +109,8 @@ impl Drop for NonBlockingReader {
     }
 }
 
-fn read_loop(mut stream: TcpStream, queue: &BoundedQueue<Frame>) {
+/// Returning drops the sender, which closes the channel for the consumer.
+fn read_loop(mut stream: TcpStream, frames: SyncSender<Frame>) {
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 64 * 1024];
     loop {
@@ -194,21 +122,17 @@ fn read_loop(mut stream: TcpStream, queue: &BoundedQueue<Frame>) {
         loop {
             match decoder.next_frame() {
                 Ok(Some(frame)) => {
-                    if queue.push(frame).is_err() {
+                    if frames.send(frame).is_err() {
                         return; // consumer closed; stop reading entirely
                     }
                 }
                 Ok(None) => break,
                 // Framing errors are unrecoverable: no way to resynchronize
                 // on the next boundary, so the connection ends here.
-                Err(_) => {
-                    queue.close();
-                    return;
-                }
+                Err(_) => return,
             }
         }
     }
-    queue.close();
 }
 
 /// Outbound half of a connection: a bounded executor channel drained by a
@@ -309,78 +233,72 @@ fn write_loop(mut stream: TcpStream, rx: Receiver<Frame>) -> std::io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::frame::FrameKind;
+    use std::net::TcpListener;
+
+    /// Generous bound on waits that should end at once; it only turns a
+    /// hang into a failure, the outcome is decided by frame counts.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// A loopback connection: the peer's end and a reader over ours.
+    fn loopback(recv_hwm: usize) -> (TcpStream, NonBlockingReader) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (ours, _) = listener.accept().unwrap();
+        (peer, NonBlockingReader::spawn(ours, recv_hwm).unwrap())
+    }
+
+    fn frame(index: u8) -> Frame {
+        Frame {
+            kind: FrameKind::Tile,
+            body: vec![index; 3],
+        }
+    }
+
+    fn write_frames(peer: &mut TcpStream, frames: impl Iterator<Item = Frame>) {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            encode_frame(frame.kind, &frame.body, &mut bytes);
+        }
+        peer.write_all(&bytes).unwrap();
+    }
 
     #[test]
-    fn bounded_queue_delivers_in_order_and_drains_after_close() {
-        let queue = BoundedQueue::new(8);
-        for i in 0..5 {
-            queue.push(i).unwrap();
-        }
-        queue.close();
-        assert_eq!(queue.push(9), Err(9), "closed queue rejects pushes");
-        for i in 0..5 {
+    fn reader_delivers_frames_in_order_then_closed_after_eof() {
+        let (mut peer, reader) = loopback(8);
+        write_frames(&mut peer, (0..5).map(frame));
+        drop(peer);
+        for index in 0..5 {
             assert_eq!(
-                queue.pop_timeout(Duration::from_millis(1)),
-                PopTimeout::Item(i)
+                reader.recv_timeout(PATIENCE),
+                PopTimeout::Item(frame(index))
             );
         }
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(1)),
-            PopTimeout::<i32>::Closed
-        );
+        assert_eq!(reader.recv_timeout(PATIENCE), PopTimeout::Closed);
+        assert_eq!(reader.recv_timeout(PATIENCE), PopTimeout::Closed);
     }
 
     #[test]
-    fn bounded_queue_times_out_while_open() {
-        let queue: BoundedQueue<i32> = BoundedQueue::new(1);
+    fn reader_times_out_while_the_peer_is_silent() {
+        let (mut peer, reader) = loopback(1);
         assert_eq!(
-            queue.pop_timeout(Duration::from_millis(5)),
+            reader.recv_timeout(Duration::from_millis(5)),
             PopTimeout::TimedOut
         );
+        write_frames(&mut peer, std::iter::once(frame(7)));
+        assert_eq!(reader.recv_timeout(PATIENCE), PopTimeout::Item(frame(7)));
+        drop(peer);
+        assert_eq!(reader.recv_timeout(PATIENCE), PopTimeout::Closed);
     }
 
     #[test]
-    fn push_blocks_at_the_high_water_mark_until_a_pop() {
-        let queue = Arc::new(BoundedQueue::new(2));
-        queue.push(0).unwrap();
-        queue.push(1).unwrap();
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(2))
-        };
-        // The pusher is over the HWM: it must still be parked.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!pusher.is_finished(), "push parks at the HWM");
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(100)),
-            PopTimeout::Item(0)
-        );
-        assert_eq!(pusher.join().unwrap(), Ok(()));
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(100)),
-            PopTimeout::Item(1)
-        );
-        assert_eq!(
-            queue.pop_timeout(Duration::from_millis(100)),
-            PopTimeout::Item(2)
-        );
-    }
-
-    #[test]
-    fn close_unblocks_a_parked_pusher() {
-        let queue = Arc::new(BoundedQueue::new(1));
-        queue.push(0).unwrap();
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(1))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        queue.close();
-        assert_eq!(
-            pusher.join().unwrap(),
-            Err(1),
-            "close rejects the parked push"
-        );
+    fn close_returns_while_the_reader_is_parked_at_the_hwm() {
+        let hwm = 2;
+        let (mut peer, reader) = loopback(hwm);
+        write_frames(&mut peer, (0..hwm as u8 + 8).map(frame));
+        // One frame received proves the thread has the bytes; the rest are
+        // more than the HWM holds, so it parks on a send nobody drains.
+        assert_eq!(reader.recv_timeout(PATIENCE), PopTimeout::Item(frame(0)));
+        reader.close();
     }
 }

@@ -10,7 +10,7 @@
 use crate::frame::{Frame, FrameKind};
 use sccg::pixelbox::{AggregationDevice, Variant};
 use sccg::{JaccardSummary, SccgError};
-use sccg_serve::{QueryPriority, QueryRequest, QueryResponse, SlideId, TileReport};
+use sccg_serve::{EngineHealth, QueryPriority, QueryRequest, QueryResponse, SlideId, TileReport};
 use std::fmt;
 
 /// Protocol magic opening every [`Message::Hello`]: `"SCCG"`.
@@ -480,6 +480,8 @@ pub struct WireStats {
     pub affinity_misses: u64,
     /// Resident disk-backed tiles encountered at dispatch.
     pub faults_avoided: u64,
+    /// Per-engine health, by pool index: a dead engine shows here.
+    pub engines: Vec<EngineHealth>,
 }
 
 impl WireStats {
@@ -503,6 +505,7 @@ impl WireStats {
             affinity_hits: stats.scheduler.affinity_hits,
             affinity_misses: stats.scheduler.affinity_misses,
             faults_avoided: stats.scheduler.faults_avoided,
+            engines: stats.engines.clone(),
         }
     }
 
@@ -532,6 +535,16 @@ impl WireStats {
         w.u64(self.affinity_hits);
         w.u64(self.affinity_misses);
         w.u64(self.faults_avoided);
+        w.u32(self.engines.len() as u32);
+        for health in &self.engines {
+            w.u64(health.engine as u64);
+            w.str(&health.device);
+            w.bool(health.alive);
+            w.u64(health.consecutive_failures);
+            w.u64(health.total_failures);
+            w.u64(health.redispatched_shards);
+            w.u64(health.revivals);
+        }
     }
 
     fn decode(r: &mut BodyReader<'_>) -> Result<Self, WireDecodeError> {
@@ -565,7 +578,25 @@ impl WireStats {
             affinity_hits: r.u64("stats.affinity_hits")?,
             affinity_misses: r.u64("stats.affinity_misses")?,
             faults_avoided: r.u64("stats.faults_avoided")?,
+            engines: Self::decode_engines(r)?,
         })
+    }
+
+    fn decode_engines(r: &mut BodyReader<'_>) -> Result<Vec<EngineHealth>, WireDecodeError> {
+        let count = r.u32("stats.health_count")? as usize;
+        let mut engines = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            engines.push(EngineHealth {
+                engine: r.u64("stats.health.engine")? as usize,
+                device: r.str("stats.health.device")?,
+                alive: r.bool("stats.health.alive")?,
+                consecutive_failures: r.u64("stats.health.consecutive_failures")?,
+                total_failures: r.u64("stats.health.total_failures")?,
+                redispatched_shards: r.u64("stats.health.redispatched_shards")?,
+                revivals: r.u64("stats.health.revivals")?,
+            });
+        }
+        Ok(engines)
     }
 }
 
@@ -1070,6 +1101,26 @@ mod tests {
             affinity_hits: 40,
             affinity_misses: 9,
             faults_avoided: 55,
+            engines: vec![
+                EngineHealth {
+                    engine: 0,
+                    device: "Cpu".into(),
+                    alive: false,
+                    consecutive_failures: 1,
+                    total_failures: 2,
+                    redispatched_shards: 1,
+                    revivals: 0,
+                },
+                EngineHealth {
+                    engine: 1,
+                    device: "Hybrid".into(),
+                    alive: true,
+                    consecutive_failures: 0,
+                    total_failures: 0,
+                    redispatched_shards: 0,
+                    revivals: 1,
+                },
+            ],
         }
     }
 

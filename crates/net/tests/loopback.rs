@@ -123,6 +123,12 @@ fn blocking_mode_is_the_one_frame_degenerate_case() {
         remote.policy, "residency-aware",
         "the default placement policy travels by name"
     );
+    assert_eq!(
+        remote.engines.len(),
+        remote.shards_per_engine.len(),
+        "one health row per engine"
+    );
+    assert!(remote.engines.iter().all(|health| health.alive));
 }
 
 /// Raw-socket probe: a duplicated request (the client retry case) is

@@ -1,10 +1,6 @@
 //! Minimal JSON rendering of service telemetry.
 //!
-//! The workspace's offline `serde` shim provides no-op derives (the real
-//! registry crate is swapped in when network access exists — see the root
-//! README), so the `Serialize` annotations on [`QueryResponse`] and
-//! [`sccg::pixelbox::SplitTrace`] document the contract while these
-//! hand-rolled writers produce the actual JSON the `reproduce -- serve`
+//! These hand-rolled writers produce the JSON the `reproduce -- serve`
 //! subcommand emits. The output is plain standard JSON: object keys match
 //! the Rust field names, and non-finite floats render as `null`.
 

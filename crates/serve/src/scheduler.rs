@@ -33,7 +33,6 @@ use crate::supervisor::Supervisor;
 use sccg::pipeline::exec::register_waker;
 use sccg::pixelbox::AggregationDevice;
 use sccg::sync::lock;
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -55,7 +54,7 @@ const BYPASS_LIMIT: u32 = 64;
 /// Which placement policy a [`crate::ComparisonService`] dispatches with
 /// (see [`crate::ServiceConfig::with_placement`] and the [module
 /// docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
     /// First eligible shard wins; no reordering. The historical dispatch
     /// order.
@@ -77,7 +76,7 @@ impl PlacementPolicy {
 
 /// Snapshot of the scheduler's placement counters (all zero under
 /// [`PlacementPolicy::RoundRobin`], which makes no placement decisions).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SchedulerStats {
     /// Telemetry name of the active policy ([`PlacementPolicy::name`]).
@@ -508,7 +507,7 @@ mod tests {
         second: SlideId,
         shards: usize,
     ) -> Arc<QueryState> {
-        let (responder, _keepalive) = crossbeam::channel::bounded(1);
+        let (responder, _keepalive) = sccg::pipeline::exec::channel(1);
         Arc::new(QueryState {
             key: CacheKey {
                 first,

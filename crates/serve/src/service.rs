@@ -40,26 +40,21 @@ use crate::request::{QueryPriority, QueryRequest, TileSelection};
 use crate::scheduler::{JobQueue, PlacementPolicy, SchedulerStats, ShardJob, Worker};
 use crate::store::{SlideId, SlideStore, TileId};
 use crate::supervisor::{EngineHealth, Supervisor};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use sccg::pipeline::exec::Executor;
+use sccg::pipeline::exec::{block_on, channel, Executor, Receiver, Sender};
 use sccg::pixelbox::{AggregationDevice, PixelBoxConfig, SplitConfig, SplitController, SplitTrace};
 use sccg::sync::lock;
 use sccg::{
     CrossComparison, EngineConfig, FaultInjector, JaccardAccumulator, JaccardSummary, SccgError,
 };
 use sccg_gpu_sim::{Device, DeviceConfig};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-// This module deliberately uses `std::sync` primitives rather than the
-// `parking_lot` used elsewhere in the workspace: the admission semaphore
-// needs a `Condvar` paired with its mutex (its waiters are *client*
-// threads, not executor tasks, so blocking is correct there), `std`'s
-// `Condvar` only pairs with `std`'s `Mutex`, and the offline `parking_lot`
-// shim provides no `Condvar` at all. Poison recovery goes through the
-// workspace-wide [`sccg::sync::lock`] helper.
+// The admission semaphore pairs a `std` `Mutex` with a `Condvar`: its
+// waiters are *client* threads, not executor tasks, so blocking is correct
+// there. Poison recovery goes through the workspace-wide
+// [`sccg::sync::lock`] helper.
 
 /// Configuration of a [`ComparisonService`].
 ///
@@ -214,7 +209,7 @@ impl ServiceConfig {
 }
 
 /// One tile's share of a query response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileReport {
     /// Tile index within both slides.
     pub tile: usize,
@@ -229,7 +224,7 @@ pub struct TileReport {
 }
 
 /// Resolved result of one query.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// First slide of the compared pair.
     pub first: SlideId,
@@ -268,7 +263,7 @@ impl QueryResponse {
 }
 
 /// Snapshot of the service's lifetime counters.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ServiceStats {
     /// Requests accepted by `submit`/`try_submit` (including cache hits and
@@ -352,16 +347,16 @@ impl StreamingHandle {
     /// hit, empty query): every tile as an event, then the finish.
     fn replay(result: Result<QueryResponse, SccgError>) -> Self {
         let tiles = result.as_ref().map(|r| r.tiles.len()).unwrap_or(0);
-        let (tx, rx) = bounded(tiles + 1);
+        let (tx, rx) = channel(tiles + 1);
         if let Ok(response) = &result {
             for (position, report) in response.tiles.iter().enumerate() {
-                let _ = tx.send(QueryEvent::Tile {
+                let _ = tx.send_blocking(QueryEvent::Tile {
                     position,
                     report: report.clone(),
                 });
             }
         }
-        let _ = tx.send(QueryEvent::Finished(result));
+        let _ = tx.send_blocking(QueryEvent::Finished(result));
         StreamingHandle { events: rx }
     }
 
@@ -369,7 +364,7 @@ impl StreamingHandle {
     /// [`QueryEvent::Finished`] has been consumed (or if the service was
     /// dropped before the query resolved).
     pub fn next_event(&self) -> Option<QueryEvent> {
-        self.events.recv().ok()
+        block_on(self.events.recv())
     }
 
     /// Drains the stream, invoking `on_tile` for every tile event, and
@@ -583,9 +578,9 @@ impl ServiceInner {
             self.admission.release();
             let result = Err(error);
             if let Some(stream) = &query.stream {
-                let _ = stream.send(QueryEvent::Finished(result.clone()));
+                let _ = stream.send_blocking(QueryEvent::Finished(result.clone()));
             }
-            let _ = query.responder.send(result);
+            let _ = query.responder.send_blocking(result);
             return;
         }
         let mut total = JaccardAccumulator::new();
@@ -618,9 +613,9 @@ impl ServiceInner {
         // also holds the blocking handle never observes the response before
         // its own stream finished.
         if let Some(stream) = &query.stream {
-            let _ = stream.send(QueryEvent::Finished(Ok(response.clone())));
+            let _ = stream.send_blocking(QueryEvent::Finished(Ok(response.clone())));
         }
-        let _ = query.responder.send(Ok(response));
+        let _ = query.responder.send_blocking(Ok(response));
     }
 }
 
@@ -674,7 +669,7 @@ impl QueryHandle {
     pub fn wait(self) -> Result<QueryResponse, SccgError> {
         match self.state {
             HandleState::Ready(result) => result,
-            HandleState::Waiting(rx) => rx.recv().map_err(|_| SccgError::ShutDown)?,
+            HandleState::Waiting(rx) => block_on(rx.recv()).ok_or(SccgError::ShutDown)?,
         }
     }
 }
@@ -875,7 +870,7 @@ impl ComparisonService {
             return Ok(StreamingHandle::replay(Ok(resolved)));
         }
         self.inner.admission.acquire();
-        let (tx, rx) = bounded(prepared.indices.len() + 1);
+        let (tx, rx) = channel(prepared.indices.len() + 1);
         let _responder = self.launch(request, prepared, Some(tx));
         Ok(StreamingHandle { events: rx })
     }
@@ -944,7 +939,7 @@ impl ComparisonService {
         stream: Option<Sender<QueryEvent>>,
     ) -> Receiver<Result<QueryResponse, SccgError>> {
         let shard_count = prepared.indices.len();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel(1);
         // The deadline clock starts at launch: shards popped after it
         // expired are abandoned without computing.
         let deadline = request
@@ -1176,10 +1171,12 @@ async fn worker_task(index: usize, engine: CrossComparison, inner: Arc<ServiceIn
                 // consumers render results as shards land. The channel is
                 // sized to hold every event, so this never blocks a worker.
                 if let Some(stream) = &job.query.stream {
-                    let _ = stream.send(QueryEvent::Tile {
-                        position: job.position,
-                        report: partial.report.clone(),
-                    });
+                    let _ = stream
+                        .send(QueryEvent::Tile {
+                            position: job.position,
+                            report: partial.report.clone(),
+                        })
+                        .await;
                 }
                 lock(&job.query.partials)[job.position] = Some(partial);
             }
@@ -1272,5 +1269,33 @@ mod tests {
         admission
             .try_acquire()
             .expect("slot came back after release");
+    }
+
+    /// The `Waiting` arm over a channel the test drives: not ready before
+    /// the send, ready after it, and `wait` returns exactly what was sent.
+    /// A handle whose sender is gone resolves to `ShutDown`.
+    #[test]
+    fn waiting_handle_reports_readiness_and_resolves_from_its_channel() {
+        let response = QueryResponse {
+            first: SlideId::from_raw(1),
+            second: SlideId::from_raw(2),
+            tiles: Vec::new(),
+            summary: JaccardAccumulator::new().summary(),
+            shards: 3,
+            cache_hit: false,
+            priority: QueryPriority::High,
+            device: Some(AggregationDevice::Gpu),
+        };
+        let (tx, rx) = channel(1);
+        let handle = QueryHandle::waiting(rx);
+        assert!(!handle.is_ready(), "nothing sent yet");
+        tx.send_blocking(Ok(response.clone())).unwrap();
+        assert!(handle.is_ready(), "the response is buffered");
+        assert_eq!(handle.wait(), Ok(response));
+
+        let (tx, rx) = channel(1);
+        let orphaned = QueryHandle::waiting(rx);
+        drop(tx);
+        assert_eq!(orphaned.wait(), Err(SccgError::ShutDown));
     }
 }

@@ -42,19 +42,18 @@
 //! in memory, and the streaming registration degrades to an in-memory
 //! accumulation with identical results.
 
-use parking_lot::Mutex;
-use sccg::pipeline::exec::{channel, Executor};
+use sccg::pipeline::exec::{block_on, channel, Executor};
+use sccg::sync::lock;
 use sccg::{FaultInjector, SccgError};
 use sccg_geometry::text::{parse_polygon_file, PolygonRecord};
 use sccg_store::{recover_dir, PagerStats, ResidencySnapshot, SlideFileWriter, TileStorage};
-use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Handle of a registered slide (one segmentation result: a sequence of
 /// tiles of polygon records).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SlideId(pub(crate) u64);
 
 impl SlideId {
@@ -73,7 +72,7 @@ impl SlideId {
 }
 
 /// Handle of one tile within a registered slide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileId {
     /// The slide the tile belongs to.
     pub slide: SlideId,
@@ -112,7 +111,7 @@ struct SlideEntry {
 }
 
 /// Summary of one registered slide.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlideInfo {
     /// The slide's handle.
     pub id: SlideId,
@@ -143,7 +142,7 @@ pub enum TileResidency {
 
 /// Aggregate out-of-core telemetry across every disk-backed slide of a
 /// store. A store with no disk-backed slides reports all zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub struct StorageStats {
     /// Number of disk-backed slides.
@@ -210,7 +209,7 @@ pub struct SlideStore {
 
 impl std::fmt::Debug for SlideStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let slides = self.inner.lock();
+        let slides = lock(&self.inner);
         f.debug_struct("SlideStore")
             .field("slides", &slides.len())
             .field("spilling", &self.spill.is_some())
@@ -356,7 +355,7 @@ impl SlideStore {
         // The streaming seam: a bounded channel keeps at most a couple of
         // parsed tiles in flight between this thread and the writer task.
         let (tile_tx, tile_rx) = channel::<Vec<PolygonRecord>>(2);
-        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        let (done_tx, done_rx) = channel(1);
         spill.executor.spawn(async move {
             let result = loop {
                 match tile_rx.recv().await {
@@ -371,7 +370,7 @@ impl SlideStore {
                     None => break writer.finish(),
                 }
             };
-            let _ = done_tx.send(result);
+            let _ = done_tx.send(result).await;
         });
 
         let mut parse_error = None;
@@ -391,7 +390,7 @@ impl SlideStore {
             }
         }
         drop(tile_tx);
-        let written = done_rx.recv().map_err(|_| SccgError::Storage {
+        let written = block_on(done_rx.recv()).ok_or_else(|| SccgError::Storage {
             detail: "slide writer task vanished before finishing".to_string(),
         })?;
 
@@ -411,7 +410,7 @@ impl SlideStore {
     }
 
     fn push_entry(&self, entry: SlideEntry) -> SlideId {
-        let mut slides = self.inner.lock();
+        let mut slides = lock(&self.inner);
         let id = SlideId(slides.len() as u64);
         slides.push(entry);
         id
@@ -426,7 +425,7 @@ impl SlideStore {
         slide: SlideId,
         records: Vec<PolygonRecord>,
     ) -> Result<TileId, SccgError> {
-        let mut slides = self.inner.lock();
+        let mut slides = lock(&self.inner);
         let entry = slides
             .get_mut(slide.0 as usize)
             .ok_or(SccgError::UnknownSlide { slide: slide.0 })?;
@@ -449,17 +448,17 @@ impl SlideStore {
 
     /// Number of registered slides.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        lock(&self.inner).len()
     }
 
     /// Whether the store has no slides.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        lock(&self.inner).is_empty()
     }
 
     /// Summary of a registered slide.
     pub fn slide(&self, slide: SlideId) -> Result<SlideInfo, SccgError> {
-        let slides = self.inner.lock();
+        let slides = lock(&self.inner);
         let entry = slides
             .get(slide.0 as usize)
             .ok_or(SccgError::UnknownSlide { slide: slide.0 })?;
@@ -506,7 +505,7 @@ impl SlideStore {
         // Clone the pager handle out of the registry lock before the
         // (possibly I/O-bound) fetch: a disk read must not block lookups.
         let storage = {
-            let slides = self.inner.lock();
+            let slides = lock(&self.inner);
             let entry = slides
                 .get(tile.slide.0 as usize)
                 .ok_or(SccgError::UnknownSlide {
@@ -542,7 +541,7 @@ impl SlideStore {
     /// unknown handles. Cloned out of the registry lock so callers never
     /// hold it across pager operations.
     fn disk_pager(&self, slide: SlideId) -> Option<Arc<TileStorage>> {
-        let slides = self.inner.lock();
+        let slides = lock(&self.inner);
         match slides.get(slide.0 as usize).map(|entry| &entry.backing) {
             Some(TileBacking::Disk(storage)) => Some(Arc::clone(storage)),
             _ => None,
@@ -553,7 +552,7 @@ impl SlideStore {
     /// Infallible by design (placement must never fail a query): unknown
     /// handles and out-of-range indices report [`TileResidency::Absent`].
     pub fn tile_residency(&self, tile: TileId) -> TileResidency {
-        let slides = self.inner.lock();
+        let slides = lock(&self.inner);
         match slides
             .get(tile.slide.0 as usize)
             .map(|entry| &entry.backing)
@@ -589,7 +588,7 @@ impl SlideStore {
     /// Aggregate out-of-core telemetry across every disk-backed slide.
     pub fn storage_stats(&self) -> StorageStats {
         let pagers: Vec<Arc<TileStorage>> = {
-            let slides = self.inner.lock();
+            let slides = lock(&self.inner);
             slides
                 .iter()
                 .filter_map(|entry| match &entry.backing {

@@ -26,14 +26,15 @@
 
 use sccg::pixelbox::AggregationDevice;
 use sccg::sync::lock;
-use serde::Serialize;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One engine's health, as exported in [`crate::ServiceStats::engines`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
-#[non_exhaustive]
+///
+/// Exhaustive on purpose: the wire codec builds it field by field, so a new
+/// field fails to compile there until it also travels on the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineHealth {
     /// Pool index of the engine.
     pub engine: usize,
